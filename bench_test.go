@@ -395,12 +395,11 @@ func selectBenchStore(np, m, nr int) *store.Store {
 	return st
 }
 
-// BenchmarkSelect compares the planned sort-merge engine (Solve)
-// against the greedy access-class engine (SolveGreedy) on multi-pattern
-// joins, plus the full parse→plan→pipeline path through
+// BenchmarkSelect measures the planned sort-merge engine (Solve) on
+// multi-pattern joins, plus the full parse→plan→pipeline path through
 // Reasoner.Select. The skewed case lists the 200k-pair table first in
-// the query text with the 20-pair table last — exactly the ordering the
-// greedy ranking cannot fix, because all three patterns share one
+// the query text with the 20-pair table last — an ordering a ranking
+// by access class cannot fix, because all three patterns share one
 // access class. Results are recorded in EXPERIMENTS.md.
 func BenchmarkSelect(b *testing.B) {
 	cases := []struct {
@@ -432,38 +431,20 @@ func BenchmarkSelect(b *testing.B) {
 			}
 		}
 
-		// Sanity: both engines agree before anything is timed.
-		count := func(solve func([]query.Pattern, int, func([]uint64) bool) error) int {
-			n := 0
-			if err := solve(patterns, 4, func([]uint64) bool { n++; return true }); err != nil {
-				b.Fatal(err)
-			}
-			return n
-		}
-		planned, greedy := count(e.Solve), count(e.SolveGreedy)
-		if planned != greedy {
-			b.Fatalf("%s: planned %d rows, greedy %d", c.name, planned, greedy)
-		}
-
-		for _, eng := range []struct {
-			name  string
-			solve func([]query.Pattern, int, func([]uint64) bool) error
-		}{{"planned", e.Solve}, {"greedy", e.SolveGreedy}} {
-			b.Run(c.name+"/"+eng.name, func(b *testing.B) {
-				b.ReportAllocs()
-				rows := 0
-				for i := 0; i < b.N; i++ {
-					rows = 0
-					if err := eng.solve(patterns, 4, func([]uint64) bool {
-						rows++
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(c.name+"/planned", func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				rows = 0
+				if err := e.Solve(patterns, 4, func([]uint64) bool {
+					rows++
+					return true
+				}); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(rows), "rows")
-			})
-		}
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
 	}
 
 	// End-to-end: text in, modifier pipeline out, on the skewed shape.

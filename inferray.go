@@ -175,8 +175,9 @@ func WithDurability(dir string, opts DurabilityOptions) Option {
 // from scratch.
 //
 // A Reasoner may be shared by any number of goroutines. The read path —
-// Holds, Query, QueryFunc, QueryCount, Select, SelectWithVars, Ask,
-// ExecFunc, Triples, AllTriples, Size, WriteNTriples — runs under a
+// Holds, the query entry points (Exec and its wrappers Query,
+// QueryFunc, QueryCount, Select, SelectWithVars, Ask, ExecFunc,
+// ExecFuncCtx), Triples, AllTriples, Size, WriteNTriples — runs under a
 // shared lock: reads proceed
 // concurrently with each other and are linearized against Materialize,
 // so every read observes a consistent closure (the state before or
@@ -184,8 +185,8 @@ func WithDurability(dir string, opts DurabilityOptions) Option {
 // AddTriples, LoadNTriples, and LoadTurtle only stage triples into a
 // side buffer guarded by its own mutex, so ingestion never blocks
 // behind a running materialization or a long read. Callbacks passed to
-// Triples, QueryFunc, or WriteNTriples's writer must not call back into
-// the same Reasoner. See DESIGN.md "Concurrency model" for the full
+// Triples, the query entry points, or WriteNTriples's writer must not
+// call back into the same Reasoner. See DESIGN.md "Concurrency model" for the full
 // contract.
 type Reasoner struct {
 	mu     sync.RWMutex // engine state: closure store + dictionary

@@ -6,14 +6,13 @@ package query
 // counting over the sorted ⟨s,o⟩ / ⟨o,s⟩ layouts) and ordered access to
 // the pairs of one property. The planner uses the first to order a
 // basic graph pattern most-selective-first *before* execution starts —
-// unlike the greedy engine (query.go), which only ranks coarse access
-// classes and so cannot tell a 10-pair table from a 10-million-pair
-// one. The executor uses the second to run shared-variable joins as
-// sort-merge joins: every probe into a table remembers its position,
-// and while the probe keys arrive in nondecreasing order (the common
-// case, because the driving scan is itself sorted) the next run is
-// found by galloping forward from the previous one instead of a fresh
-// binary search. A key that moves backward falls back to the full
+// a ranking by coarse access class alone could not tell a 10-pair
+// table from a 10-million-pair one. The executor uses the second to
+// run shared-variable joins as sort-merge joins: every probe into a
+// table remembers its position, and while the probe keys arrive in
+// nondecreasing order (the common case, because the driving scan is
+// itself sorted) the next run is found by galloping forward from the
+// previous one instead of a fresh binary search. A key that moves backward falls back to the full
 // binary search, so the cursor is a pure optimization — correctness
 // never depends on sortedness. Fully bound patterns keep the existing
 // bound-probe (Contains) path.
@@ -255,6 +254,13 @@ type exec struct {
 type optLayer struct {
 	steps  []planStep
 	accept func(row []uint64, bound uint64) bool // nil = accept all
+	// done receives the layer's complete extensions; it is built once
+	// per solve, so left-joining a solution allocates nothing.
+	done func(bound uint64) bool
+	// matched records whether the current solution found an accepted
+	// extension. One flag per layer suffices: a layer's walk nests only
+	// later layers' walks, never its own.
+	matched bool
 }
 
 // run enumerates the steps from index i under the bound mask, calling
@@ -295,21 +301,27 @@ func (x *exec) runOptional(layer int, bound uint64) bool {
 		return x.fn(x.row, bound)
 	}
 	o := &x.opts[layer]
-	matched := false
-	cont := x.run(o.steps, 0, bound, func(nb uint64) bool {
-		if o.accept != nil && !o.accept(x.row, nb) {
-			return true // rejected extension: keep walking
-		}
-		matched = true
-		return x.runOptional(layer+1, nb)
-	})
-	if !cont {
+	o.matched = false
+	if !x.run(o.steps, 0, bound, o.done) {
 		return false
 	}
-	if !matched {
+	if !o.matched {
 		return x.runOptional(layer+1, bound)
 	}
 	return true
+}
+
+// optionalDone builds layer's extension callback: an accepted
+// extension marks the layer matched and continues into the next layer.
+func (x *exec) optionalDone(layer int) func(uint64) bool {
+	o := &x.opts[layer]
+	return func(nb uint64) bool {
+		if o.accept != nil && !o.accept(x.row, nb) {
+			return true // rejected extension: keep walking
+		}
+		o.matched = true
+		return x.runOptional(layer+1, nb)
+	}
 }
 
 // enumStep walks every match of one planned step under the current

@@ -136,9 +136,8 @@ func TestCount(t *testing.T) {
 	}
 }
 
-// TestSolveQuick compares both engines — the planner (Solve) and the
-// greedy baseline (SolveGreedy) — against a brute-force evaluator on
-// random stores and random 1–4 pattern queries. This is the planner's
+// TestSolveQuick compares the planner (Solve) against a brute-force
+// evaluator on random stores and random 1–4 pattern queries. This is the planner's
 // equivalence guarantee: whatever order and access paths it picks, the
 // solution set must match the reference.
 func TestSolveQuick(t *testing.T) {
@@ -186,23 +185,19 @@ func TestSolveQuick(t *testing.T) {
 		}
 
 		want := bruteForce(facts, patterns, nVars)
-		for _, solve := range []func([]Pattern, int, func([]uint64) bool) error{
-			e.Solve, e.SolveGreedy,
-		} {
-			got := map[string]bool{}
-			if err := solve(patterns, nVars, func(row []uint64) bool {
-				got[rowKey(row)] = true
-				return true
-			}); err != nil {
+		got := map[string]bool{}
+		if err := e.Solve(patterns, nVars, func(row []uint64) bool {
+			got[rowKey(row)] = true
+			return true
+		}); err != nil {
+			return false
+		}
+		if len(got) != len(want) {
+			return false
+		}
+		for k := range want {
+			if !got[k] {
 				return false
-			}
-			if len(got) != len(want) {
-				return false
-			}
-			for k := range want {
-				if !got[k] {
-					return false
-				}
 			}
 		}
 		return true
@@ -213,9 +208,8 @@ func TestSolveQuick(t *testing.T) {
 }
 
 // The planner must start a skewed chain join at the small table even
-// when the query text lists the big one first — the case the greedy
-// access-class ranking cannot see (all three patterns share the same
-// class).
+// when the query text lists the big one first — a case a ranking by
+// access class cannot see (all three patterns share the same class).
 func TestPlanOrdersBySelectivity(t *testing.T) {
 	st := store.New(3)
 	big := st.Ensure(0)
@@ -239,25 +233,10 @@ func TestPlanOrdersBySelectivity(t *testing.T) {
 	if order[0] != 2 {
 		t.Fatalf("plan starts at pattern %d, want the tiny table (2); order=%v", order[0], order)
 	}
-	// And the planned execution matches the greedy result.
+	// And the planned execution yields the chain's one solution.
 	planned := collect(t, e, patterns, 4)
-	var greedy [][]uint64
-	if err := e.SolveGreedy(patterns, 4, func(row []uint64) bool {
-		greedy = append(greedy, append([]uint64(nil), row...))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(greedy, func(i, j int) bool {
-		for k := range greedy[i] {
-			if greedy[i][k] != greedy[j][k] {
-				return greedy[i][k] < greedy[j][k]
-			}
-		}
-		return false
-	})
-	if !reflect.DeepEqual(planned, greedy) {
-		t.Fatalf("planned %v != greedy %v", planned, greedy)
+	if want := [][]uint64{{1, 2, 3, 4}}; !reflect.DeepEqual(planned, want) {
+		t.Fatalf("planned %v, want %v", planned, want)
 	}
 }
 

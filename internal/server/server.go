@@ -68,7 +68,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -377,34 +376,10 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 
 // ---------------------------------------------------------------- /query
 
-// sparqlResults is the SPARQL 1.1 Query Results JSON document (the
-// server streams it by hand in resultStream; this struct shape is kept
-// for tests and clients that decode whole documents).
-type sparqlResults struct {
-	Head    resultsHead    `json:"head"`
-	Results resultsSection `json:"results"`
-}
-
 // askResults is the SPARQL 1.1 boolean results document for ASK.
 type askResults struct {
 	Head    struct{} `json:"head"`
 	Boolean bool     `json:"boolean"`
-}
-
-type resultsHead struct {
-	Vars []string `json:"vars"`
-}
-
-type resultsSection struct {
-	Bindings []map[string]binding `json:"bindings"`
-}
-
-// binding is one RDF term in results-JSON form.
-type binding struct {
-	Type     string `json:"type"` // "uri" | "literal" | "bnode"
-	Value    string `json:"value"`
-	Lang     string `json:"xml:lang,omitempty"`
-	Datatype string `json:"datatype,omitempty"`
 }
 
 // queryError is the structured 400 body for a failed /query: the
@@ -498,16 +473,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	// The results document is encoded by a streaming writer: the head
 	// as soon as the query is planned, one binding at a time as rows
 	// are produced — never a whole-document marshal. It is encoded
-	// into a buffer and put on the wire only after ExecFunc returns,
-	// because ExecFunc runs under the reasoner's read lock: writing to
+	// into a buffer and put on the wire only after Exec returns,
+	// because Exec runs under the reasoner's read lock: writing to
 	// a stalled client from inside the callbacks would let one slow
 	// reader hold the lock, block the next Materialize, and behind it
-	// every new query. Every error ExecFunc can return surfaces before
+	// every new query. Every error Exec can return surfaces before
 	// the head callback runs, so a 400 is always still possible when
 	// it matters; the limit parameter is the caller's tool for
 	// bounding the buffered size.
 	st := &resultStream{}
-	res, err := s.r.ExecFuncCtx(ctx, text, maxRows, st.head, st.row)
+	res, err := s.r.Exec(ctx, text, maxRows, st.head, st.row)
 	if err != nil {
 		s.queryErrors.Add(1)
 		switch {
@@ -530,8 +505,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		enc, _ := json.Marshal(askResults{Boolean: res.Truth})
 		body = append(enc, '\n')
 	} else {
-		st.close()
-		body = st.buf.Bytes()
+		body = st.close()
 	}
 	if cacheable {
 		key.Generation = res.Generation
@@ -559,87 +533,6 @@ func writeQueryError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusBadRequest)
 	_ = json.NewEncoder(w).Encode(qe)
-}
-
-// resultStream encodes a sparql-results+json document incrementally
-// into a buffer: the envelope and head on the first callback, one
-// encoded binding per row, and the closing brackets in close — bounded
-// per-row work, no whole-document marshal.
-type resultStream struct {
-	buf     bytes.Buffer
-	started bool
-	rows    int
-}
-
-func (st *resultStream) head(vars []string) {
-	names, _ := json.Marshal(vars)
-	fmt.Fprintf(&st.buf, `{"head":{"vars":%s},"results":{"bindings":[`, names)
-	st.started = true
-}
-
-func (st *resultStream) row(row map[string]string) bool {
-	b := make(map[string]binding, len(row))
-	for name, term := range row {
-		b[name] = termBinding(term)
-	}
-	enc, err := json.Marshal(b)
-	if err != nil {
-		return false
-	}
-	if st.rows > 0 {
-		st.buf.WriteByte(',')
-	}
-	st.buf.Write(enc)
-	st.rows++
-	return true
-}
-
-func (st *resultStream) close() {
-	if !st.started {
-		// A query with no head callback (defensive; ExecFunc always
-		// calls it for SELECT) still gets a valid empty document.
-		st.head([]string{})
-	}
-	st.buf.WriteString("]}}\n")
-}
-
-// termBinding converts an N-Triples surface form into results-JSON.
-func termBinding(term string) binding {
-	switch {
-	case rdf.IsIRI(term):
-		return binding{Type: "uri", Value: term[1 : len(term)-1]}
-	case rdf.IsBlank(term):
-		return binding{Type: "bnode", Value: term[2:]}
-	case rdf.IsLiteral(term):
-		lex, ok := rdf.UnescapeLiteral(term)
-		if !ok {
-			return binding{Type: "literal", Value: term}
-		}
-		b := binding{Type: "literal", Value: lex}
-		switch suffix := term[literalEnd(term):]; {
-		case strings.HasPrefix(suffix, "@"):
-			b.Lang = suffix[1:]
-		case strings.HasPrefix(suffix, "^^<") && strings.HasSuffix(suffix, ">"):
-			b.Datatype = suffix[3 : len(suffix)-1]
-		}
-		return b
-	default:
-		return binding{Type: "literal", Value: term}
-	}
-}
-
-// literalEnd returns the index just past the closing quote of a literal
-// surface form (len(term) when unterminated).
-func literalEnd(term string) int {
-	for i := 1; i < len(term); i++ {
-		switch term[i] {
-		case '\\':
-			i++
-		case '"':
-			return i + 1
-		}
-	}
-	return len(term)
 }
 
 // -------------------------------------------------------------- /triples

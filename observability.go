@@ -15,12 +15,13 @@ import (
 	"inferray/internal/wal"
 )
 
-// WithSlowQueryLog enables structured slow-query logging: every SPARQL
-// evaluation (Select, SelectWithVars, Ask, ExecFunc, and the HTTP
-// /query endpoint) that takes at least threshold emits one structured
+// WithSlowQueryLog enables structured slow-query logging: every query
+// evaluation (Exec and every entry point wrapping it, the HTTP /query
+// endpoint included) that takes at least threshold emits one structured
 // record — the query text, the planner's chosen pattern order, the
 // delivered row count, and the duration, plus the request ID when the
-// evaluation ran under ExecFuncCtx with one in the context. logger nil
+// evaluation ran under a context carrying one. Pattern-API evaluations
+// (Query, QueryFunc, QueryCount) log their patterns as a SELECT *. logger nil
 // uses slog.Default(). A threshold of 0 disables logging (the
 // default).
 func WithSlowQueryLog(threshold time.Duration, logger *slog.Logger) Option {
@@ -60,7 +61,7 @@ func newObs(c *config) *obs {
 		wm:  wal.NewMetrics(reg),
 		qm:  query.NewMetrics(reg),
 		queries: reg.Counter("inferray_query_evaluations_total",
-			"SPARQL evaluations completed (Select, Ask, ExecFunc, HTTP /query)."),
+			"Query evaluations completed (Exec and every entry point wrapping it, HTTP /query included)."),
 		queryRows: reg.Counter("inferray_query_rows_total",
 			"Solution rows delivered to callers, after projection, DISTINCT, OFFSET, and LIMIT."),
 		querySeconds: reg.Histogram("inferray_query_seconds",
@@ -119,10 +120,9 @@ type MetricsSnapshot struct {
 	WALFsyncs      uint64
 	Checkpoints    uint64
 	SnapshotBytes  int64
-	// Pattern-engine totals: planned (sort-merge) vs greedy solves and
-	// rows streamed out of the engine before solution modifiers.
+	// Pattern-engine totals: planned (sort-merge) solves and rows
+	// streamed out of the engine before solution modifiers.
 	PlannedSolves uint64
-	GreedySolves  uint64
 	EngineRows    uint64
 	// Evaluation totals: completed SPARQL evaluations, rows delivered
 	// after modifiers, summed evaluation seconds, and evaluations at or
@@ -150,7 +150,6 @@ func (r *Reasoner) Metrics() MetricsSnapshot {
 		Checkpoints:        o.wm.Checkpoints.Value(),
 		SnapshotBytes:      o.wm.SnapshotBytes.Value(),
 		PlannedSolves:      o.qm.PlannedSolves.Value(),
-		GreedySolves:       o.qm.GreedySolves.Value(),
 		EngineRows:         o.qm.Rows.Value(),
 		Queries:            o.queries.Value(),
 		QueryRows:          o.queryRows.Value(),
@@ -184,7 +183,7 @@ func (r *Reasoner) queryEngine() *query.Engine {
 
 // recordQueryLocked feeds one completed evaluation into the counters
 // and, when it crossed the slow-query threshold, emits the structured
-// slow-query record. Called at the tail of ExecFuncCtx with the read
+// slow-query record. Called at the tail of the query core with the read
 // lock still held (the plan description re-runs the planner).
 func (r *Reasoner) recordQueryLocked(ctx context.Context, queryText string, q *sparql.Query, varSlots map[string]int, rows int, d time.Duration) {
 	o := r.obs

@@ -2,12 +2,14 @@ package inferray
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"time"
 
+	"inferray/internal/dictionary"
 	"inferray/internal/query"
 	"inferray/internal/snapshot"
 	"inferray/internal/sparql"
@@ -45,63 +47,16 @@ const anonPrefix = "\x00anon"
 // anonymous variable: it matches anything, joins with nothing, and does
 // not appear in the delivered rows.
 func (r *Reasoner) QueryFunc(fn func(row map[string]string) bool, patterns ...[3]string) error {
-	if len(patterns) == 0 {
-		return fmt.Errorf("inferray: empty pattern list")
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-
-	varSlots := map[string]int{}
-	var varNames []string
-	unknownConst := false
-
-	term := func(raw string) query.Term {
-		if strings.HasPrefix(raw, "?") {
-			name := raw[1:]
-			if name == "" {
-				name = fmt.Sprintf("%s%d", anonPrefix, len(varNames))
-			}
-			slot, ok := varSlots[name]
-			if !ok {
-				slot = len(varNames)
-				varSlots[name] = slot
-				varNames = append(varNames, name)
-			}
-			return query.Var(slot)
-		}
-		id, ok := r.engine.Dict.Lookup(raw)
-		if !ok {
-			unknownConst = true
-		}
-		return query.Const(id)
-	}
-
-	qp := make([]query.Pattern, len(patterns))
-	for i, p := range patterns {
-		qp[i] = query.Pattern{S: term(p[0]), P: term(p[1]), O: term(p[2])}
-	}
-	if len(varNames) > 64 {
-		return fmt.Errorf("inferray: more than 64 distinct variables")
-	}
-	if unknownConst {
-		return nil // a constant not in the dictionary can match nothing
-	}
-
-	named := 0
-	for _, name := range varNames {
-		if !strings.HasPrefix(name, anonPrefix) {
-			named++
-		}
-	}
-
-	eng := r.queryEngine()
-	return eng.Solve(qp, len(varNames), func(row []uint64) bool {
-		out := make(map[string]string, named)
-		for i, name := range varNames {
+	var vars []string
+	return r.queryPatterns(patterns, func(v []string) { vars = v }, func(row Row) bool {
+		out := make(map[string]string, len(vars))
+		for i, name := range vars {
 			if strings.HasPrefix(name, anonPrefix) {
 				continue
 			}
-			out[name] = r.engine.Dict.MustDecode(row[i])
+			if term, ok := row.Term(i); ok {
+				out[name] = term
+			}
 		}
 		return fn(out)
 	})
@@ -110,11 +65,37 @@ func (r *Reasoner) QueryFunc(fn func(row map[string]string) bool, patterns ...[3
 // QueryCount returns the number of solutions without materializing them.
 func (r *Reasoner) QueryCount(patterns ...[3]string) (int, error) {
 	n := 0
-	err := r.QueryFunc(func(map[string]string) bool {
+	err := r.queryPatterns(patterns, nil, func(Row) bool {
 		n++
 		return true
-	}, patterns...)
+	})
 	return n, err
+}
+
+// queryPatterns runs a pattern list through the query core as the
+// SELECT * of one basic graph pattern, each bare "?" renamed to a
+// fresh anonymous variable.
+func (r *Reasoner) queryPatterns(patterns [][3]string, onHead func([]string), onRow func(Row) bool) error {
+	if len(patterns) == 0 {
+		return fmt.Errorf("inferray: empty pattern list")
+	}
+	start := time.Now()
+	g := sparql.Group{Patterns: make([][3]string, len(patterns))}
+	text := make([]string, len(patterns))
+	anon := 0
+	for i, p := range patterns {
+		for pos, raw := range p {
+			if raw == "?" {
+				raw = "?" + anonPrefix + strconv.Itoa(anon)
+				anon++
+			}
+			g.Patterns[i][pos] = raw
+		}
+		text[i] = p[0] + " " + p[1] + " " + p[2]
+	}
+	q := &sparql.Query{Form: sparql.FormSelect, Groups: []sparql.Group{g}}
+	_, err := r.exec(context.Background(), start, "SELECT * WHERE { "+strings.Join(text, " . ")+" }", q, 0, onHead, onRow)
+	return err
 }
 
 // SaveSnapshot writes the dictionary and store (closure, after
@@ -236,7 +217,7 @@ func (r *Reasoner) SelectWithVars(queryText string) (vars []string, rows []map[s
 // stops at the first match. SELECT queries are rejected here; evaluate
 // them with Select.
 func (r *Reasoner) Ask(queryText string) (bool, error) {
-	res, err := r.ExecFunc(queryText, 0, nil, nil)
+	res, err := r.Exec(context.Background(), queryText, 0, nil, nil)
 	if err != nil {
 		return false, err
 	}
@@ -246,7 +227,7 @@ func (r *Reasoner) Ask(queryText string) (bool, error) {
 	return res.Truth, nil
 }
 
-// QueryResult is the head of an executed SPARQL query (see ExecFunc):
+// QueryResult is the head of an executed SPARQL query (see Exec):
 // which form it was, the ASK answer, and the SELECT projection.
 type QueryResult struct {
 	// Ask reports that the query was an ASK; Truth is then its answer
@@ -265,59 +246,131 @@ type QueryResult struct {
 	Generation uint64
 }
 
-// ExecFunc is the streaming core under Select, SelectWithVars, and Ask:
-// it parses queryText (SELECT or ASK), plans and evaluates it, and
-// streams SELECT solutions through the solution-modifier pipeline
-// (per-group patterns ⋈ VALUES → OPTIONAL → BIND → FILTER, then
-// aggregation → projection → DISTINCT → ORDER BY → OFFSET → LIMIT).
+// ExecFunc is Exec with a background context and rows decoded into
+// maps: each delivered solution maps the projected variable names to
+// term surface forms, and a variable an OPTIONAL block or a UNION
+// branch left unbound is absent from its row map.
+func (r *Reasoner) ExecFunc(queryText string, maxRows int, onHead func(vars []string), onRow func(row map[string]string) bool) (QueryResult, error) {
+	return r.ExecFuncCtx(context.Background(), queryText, maxRows, onHead, onRow)
+}
+
+// ExecFuncCtx is ExecFunc with a caller-supplied context (see Exec for
+// what the context carries). Rows are decoded into maps here, at this
+// wrapper's boundary; the evaluation itself runs on dictionary IDs.
+func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows int, onHead func(vars []string), onRow func(row map[string]string) bool) (QueryResult, error) {
+	var vars []string
+	head := func(v []string) {
+		vars = v
+		if onHead != nil {
+			onHead(v)
+		}
+	}
+	var deliver func(Row) bool
+	if onRow != nil {
+		deliver = func(row Row) bool {
+			out := make(map[string]string, len(vars))
+			for i, name := range vars {
+				if term, ok := row.Term(i); ok {
+					out[name] = term
+				}
+			}
+			return onRow(out)
+		}
+	}
+	return r.Exec(ctx, queryText, maxRows, head, deliver)
+}
+
+// Row is one delivered solution of Exec: the projected cells as
+// dictionary IDs, decoded to surface forms only when Term asks. A Row
+// is valid only during the onRow call that received it.
+type Row struct {
+	ids []uint64
+	run *queryRun
+}
+
+// Term returns the surface form bound to projected column i (the
+// index into the head's vars); ok is false when the cell is unbound.
+func (row Row) Term(i int) (term string, ok bool) {
+	return row.run.terms.decode(row.ids[row.run.project[i]])
+}
+
+// Exec is the streaming core under every query entry point (Select,
+// SelectWithVars, Ask, ExecFunc, ExecFuncCtx, Query, QueryFunc and
+// QueryCount are wrappers over it). It parses queryText (SELECT or
+// ASK), plans and evaluates it, and streams SELECT solutions through
+// the solution-modifier pipeline (per-group patterns ⋈ VALUES →
+// OPTIONAL → BIND → FILTER, then aggregation → ORDER BY → projection →
+// DISTINCT → OFFSET → LIMIT). Solutions stay rows of dictionary IDs
+// the whole way; a term is decoded only where a FILTER, BIND,
+// aggregate or ORDER BY needs its text, or when the caller asks for it
+// with Row.Term.
 //
 // For a SELECT query, onHead (when non-nil) is invoked exactly once
 // with the ordered projection before any row, and onRow once per
-// delivered solution; onRow may return false to stop early. Rows are
-// partial bindings: a variable an OPTIONAL block or a UNION branch
-// left unbound is absent from its row map. A query with ORDER BY
-// buffers internally before delivery — a bounded top-(OFFSET+LIMIT)
-// heap when an effective limit applies and DISTINCT is off, a full
-// sort otherwise; aggregate queries buffer their groups. Every other
-// query streams. maxRows > 0 caps delivered rows on top of the query's
-// own LIMIT (the HTTP endpoint's limit parameter) and bounds the ORDER
-// BY heap the same way. For an ASK query neither callback runs; the
-// answer is in QueryResult.Truth.
+// delivered solution; onRow may return false to stop early. A query
+// with ORDER BY buffers internally before delivery — a bounded
+// top-(OFFSET+LIMIT) heap when an effective limit applies and DISTINCT
+// is off, a full sort otherwise; aggregate queries buffer their
+// groups. Every other query streams. maxRows > 0 caps delivered rows
+// on top of the query's own LIMIT (the HTTP endpoint's limit
+// parameter) and bounds the ORDER BY heap the same way. For an ASK
+// query neither callback runs; the answer is in QueryResult.Truth.
+//
+// The context carries request-scoped metadata — a request ID installed
+// with ContextWithRequestID is stamped into the slow-query record,
+// which is how the HTTP server's logs join query text to access-log
+// lines — and a best-effort deadline. A cancelable context is checked
+// once before evaluation and then every 256 solutions entering the
+// modifier tail (after the group's FILTERs, before aggregation, ORDER
+// BY and DISTINCT); a tripped deadline or cancellation aborts the
+// enumeration and returns the context's error (the HTTP server maps it
+// to 504). A query that scans long without producing such rows is only
+// interrupted at its next one; contexts without a Done channel
+// (context.Background) cost nothing.
 //
 // The reasoner's read lock is held for the whole evaluation, so the
 // callbacks must not call back into the Reasoner. Parse failures are
 // returned as *sparql.ParseError values carrying the line and column of
 // the offending token.
-func (r *Reasoner) ExecFunc(queryText string, maxRows int, onHead func(vars []string), onRow func(row map[string]string) bool) (QueryResult, error) {
-	return r.ExecFuncCtx(context.Background(), queryText, maxRows, onHead, onRow)
-}
-
-// ExecFuncCtx is ExecFunc with a caller-supplied context. The context
-// carries request-scoped metadata — a request ID installed with
-// ContextWithRequestID is stamped into the slow-query record, which is
-// how the HTTP server's logs join query text to access-log lines — and
-// a best-effort deadline: a cancelable context is polled once before
-// evaluation and every 256 delivered solutions, and a tripped deadline
-// or cancellation aborts the enumeration and returns the context's
-// error (the HTTP server maps it to 504). The check rides the row
-// stream, so a query that scans long without producing rows is only
-// interrupted at its next row; contexts without a Done channel
-// (context.Background) cost nothing.
-func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows int, onHead func(vars []string), onRow func(row map[string]string) bool) (QueryResult, error) {
+func (r *Reasoner) Exec(ctx context.Context, queryText string, maxRows int, onHead func(vars []string), onRow func(row Row) bool) (QueryResult, error) {
 	start := time.Now()
 	q, err := sparql.ParseQuery(queryText)
 	if err != nil {
 		return QueryResult{}, err
 	}
+	return r.exec(ctx, start, queryText, q, maxRows, onHead, onRow)
+}
 
+// queryRun is one evaluation's state: the variable namespace, the term
+// table, the projection, and the row buffers the pipeline reuses.
+type queryRun struct {
+	r     *Reasoner
+	terms termTable
+	// varSlots maps every WHERE-clause variable (pattern variables,
+	// BIND targets, VALUES variables) to its slot in the WHERE row.
+	varSlots map[string]int
+	nVars    int
+	// project lists, per projected column, its index in the rows the
+	// modifier tail carries: WHERE slots, or after aggregation the
+	// aggregator's output columns.
+	project []int
+	// cur is the WHERE row being finished (BIND, FILTER); lookup reads
+	// it, so one closure serves the whole evaluation.
+	cur    []uint64
+	lookup func(name string) (string, bool)
+}
+
+// exec is Exec after parsing; start is when the caller began, so the
+// recorded duration includes the parse.
+func (r *Reasoner) exec(ctx context.Context, start time.Time, queryText string, q *sparql.Query, maxRows int, onHead func(vars []string), onRow func(row Row) bool) (QueryResult, error) {
+	run := &queryRun{r: r, varSlots: map[string]int{}}
 	// Global variable namespace across UNION branches, in order of
 	// first appearance: triple-pattern variables (required and
 	// OPTIONAL), BIND targets, and VALUES variables.
-	varSlots := map[string]int{}
 	var varNames []string
 	slotOf := func(name string) {
-		if _, ok := varSlots[name]; !ok {
-			varSlots[name] = len(varNames)
+		if _, ok := run.varSlots[name]; !ok {
+			run.varSlots[name] = len(varNames)
 			varNames = append(varNames, name)
 		}
 	}
@@ -347,10 +400,13 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 	if len(varNames) > 64 {
 		return QueryResult{}, fmt.Errorf("inferray: more than 64 distinct variables")
 	}
+	run.nVars = len(varNames)
 
 	aggregating := q.HasAggregates() || len(q.GroupBy) > 0
 
 	res := QueryResult{}
+	// outCols names the columns of the rows the modifier tail carries.
+	outCols := run.varSlots
 	switch {
 	case q.Form == sparql.FormAsk:
 		res.Ask = true
@@ -360,13 +416,13 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 		// SELECT *, alias collisions); here the keys and aggregate
 		// arguments must additionally resolve to WHERE-clause variables.
 		for _, v := range q.GroupBy {
-			if _, ok := varSlots[v]; !ok {
+			if _, ok := run.varSlots[v]; !ok {
 				return QueryResult{}, fmt.Errorf("inferray: GROUP BY variable ?%s does not appear in the WHERE pattern", v)
 			}
 		}
 		for _, it := range q.Items {
 			if it.Agg != nil && !it.Agg.Star {
-				if _, ok := varSlots[it.Agg.Var]; !ok {
+				if _, ok := run.varSlots[it.Agg.Var]; !ok {
 					return QueryResult{}, fmt.Errorf("inferray: aggregate variable ?%s does not appear in the WHERE pattern", it.Agg.Var)
 				}
 			}
@@ -374,15 +430,9 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 		res.Vars = q.Vars
 		// Post-aggregation rows carry only the GROUP BY keys and the
 		// projected aggregates, so only those are orderable.
-		orderable := map[string]bool{}
-		for _, v := range q.GroupBy {
-			orderable[v] = true
-		}
-		for _, it := range q.Items {
-			orderable[it.Name] = true
-		}
+		outCols = aggColumns(q)
 		for _, k := range q.OrderBy {
-			if !orderable[k.Var] {
+			if _, ok := outCols[k.Var]; !ok {
 				return QueryResult{}, fmt.Errorf("inferray: ORDER BY variable ?%s is neither a GROUP BY key nor a projected aggregate", k.Var)
 			}
 		}
@@ -394,7 +444,7 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 			// inside OPTIONAL blocks or single UNION branches do occur —
 			// they are merely unbound in some rows.
 			for _, v := range q.Vars {
-				if _, ok := varSlots[v]; !ok {
+				if _, ok := run.varSlots[v]; !ok {
 					return QueryResult{}, fmt.Errorf("inferray: SELECT variable ?%s does not appear in the WHERE pattern", v)
 				}
 			}
@@ -403,10 +453,14 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 			res.Vars = varNames
 		}
 		for _, k := range q.OrderBy {
-			if _, ok := varSlots[k.Var]; !ok {
+			if _, ok := run.varSlots[k.Var]; !ok {
 				return QueryResult{}, fmt.Errorf("inferray: ORDER BY variable ?%s does not appear in the WHERE pattern", k.Var)
 			}
 		}
+	}
+	run.project = make([]int, len(res.Vars))
+	for i, v := range res.Vars {
+		run.project[i] = outCols[v]
 	}
 
 	// Effective row cap: the query's LIMIT tightened by the caller's.
@@ -419,15 +473,14 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 	}
 
 	pl := &rowPipeline{
-		project:  len(q.Vars) > 0,
-		vars:     res.Vars,
+		run:      run,
 		distinct: q.Distinct,
 		offset:   q.Offset,
 		limit:    limit,
 		out:      onRow,
 	}
 	if pl.distinct {
-		pl.seen = make(map[string]bool)
+		pl.seen = make(map[string]struct{})
 	}
 
 	var ob *orderBuffer
@@ -442,23 +495,27 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 		if limit >= 0 && !q.Distinct {
 			k = q.Offset + limit
 		}
-		ob = newOrderBuffer(q.OrderBy, k)
+		keys := make([]orderKey, len(q.OrderBy))
+		for i, ok := range q.OrderBy {
+			keys[i] = orderKey{col: outCols[ok.Var], desc: ok.Desc}
+		}
+		ob = newOrderBuffer(&run.terms, keys, k)
 	}
 
 	var agg *aggregator
 	if aggregating && !res.Ask {
-		agg = newAggregator(q)
+		agg = newAggregator(&run.terms, q, run.varSlots)
 	}
 
-	// feed delivers one post-WHERE row into the modifier tail.
-	feed := func(row map[string]string) bool {
+	// feed delivers one row into the modifiers after aggregation.
+	feed := func(row []uint64) bool {
 		if ob != nil {
 			ob.push(row)
 			return true
 		}
 		return pl.push(row)
 	}
-	sink := func(row map[string]string) bool {
+	sink := func(row []uint64) bool {
 		if res.Ask {
 			res.Truth = true
 			return false // one witness is enough
@@ -472,14 +529,14 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	run.terms.dict = r.engine.Dict
 	// Captured under the read lock: mutations bump the generation under
 	// the write lock, so it cannot change for the rest of the evaluation.
 	res.Generation = r.gen.Load()
 
 	// Deadline/cancellation polling, armed only for cancelable contexts
 	// (Done() is nil for context.Background(), so the library paths pay
-	// nothing — not even an allocation, which the BGP alloc budget test
-	// would notice). The counter check is a mask, not a ticker.
+	// nothing). The counter check is a mask, not a ticker.
 	var ctxErr error
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
@@ -487,7 +544,7 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 		}
 		inner := sink
 		polled := 0
-		sink = func(row map[string]string) bool {
+		sink = func(row []uint64) bool {
 			polled++
 			if polled&255 == 0 {
 				if err := ctx.Err(); err != nil {
@@ -507,8 +564,16 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 		onHead(head)
 	}
 
+	run.cur = make([]uint64, run.nVars)
+	run.lookup = func(name string) (string, bool) {
+		slot, ok := run.varSlots[name]
+		if !ok {
+			return "", false
+		}
+		return run.terms.decode(run.cur[slot])
+	}
 	for _, g := range q.Groups {
-		if !r.evalGroup(g, varSlots, len(varNames), varNames, sink) {
+		if !run.evalGroup(g, sink) {
 			break
 		}
 	}
@@ -524,55 +589,99 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 	if ob != nil {
 		ob.flush(pl.push)
 	}
-	r.recordQueryLocked(ctx, queryText, q, varSlots, pl.sent, time.Since(start))
+	r.recordQueryLocked(ctx, queryText, q, run.varSlots, pl.sent, time.Since(start))
 	return res, nil
 }
 
 // evalGroup evaluates one UNION branch in SPARQL's group order: the
 // VALUES data joins the required graph pattern first (each combination
 // of the blocks' rows seeds one engine run), the OPTIONAL blocks
-// left-join the seeded solutions, each decoded row then takes the
-// branch's BINDs and FILTERs, and survivors go to sink. Returns false
-// when sink stopped the enumeration (later branches must not run).
-func (r *Reasoner) evalGroup(g sparql.Group, varSlots map[string]int, nVars int, varNames []string, sink func(map[string]string) bool) bool {
-	required, ok := r.encodePatterns(g.Patterns, varSlots)
+// left-join the seeded solutions, each row then takes the branch's
+// BINDs and FILTERs, and survivors go to sink. Returns false when sink
+// stopped the enumeration (later branches must not run).
+func (run *queryRun) evalGroup(g sparql.Group, sink func([]uint64) bool) bool {
+	required, ok := run.r.encodePatterns(g.Patterns, run.varSlots)
 	if !ok {
 		return true // unknown constant: branch yields nothing
 	}
 	// Everything seed-independent is computed once, not per VALUES
 	// combination: the encoded OPTIONAL blocks (an unknown constant
-	// makes a block dead for every combination) and the BIND lookup
-	// table the optional filters resolve targets from.
-	enc := groupEncoding{required: required}
+	// makes a block dead for every combination), the interned VALUES
+	// cells, and the slots the BINDs target.
+	enc := groupEncoding{g: g, required: required, requiredVars: varMask(g.Patterns, run.varSlots)}
 	for _, og := range g.Optionals {
-		pats, ok := r.encodePatterns(og.Patterns, varSlots)
+		pats, ok := run.r.encodePatterns(og.Patterns, run.varSlots)
 		if !ok {
 			continue // dead OPTIONAL: never matches, its variables stay unbound
 		}
-		enc.optionals = append(enc.optionals, encodedOptional{raw: og, patterns: pats})
+		enc.optionals = append(enc.optionals, encodedOptional{patterns: pats, filters: og.Filters, vars: varMask(og.Patterns, run.varSlots)})
 	}
 	if len(g.Binds) > 0 {
 		enc.bindExpr = make(map[string]sparql.Expr, len(g.Binds))
-		for _, b := range g.Binds {
+		enc.bindSlots = make([]int, len(g.Binds))
+		for i, b := range g.Binds {
 			enc.bindExpr[b.Var] = b.Expr
+			enc.bindSlots[i] = run.varSlots[b.Var]
 		}
 	}
-	return forEachValuesRow(g.Values, 0, map[string]string{}, func(vals map[string]string) bool {
-		return r.evalSeeded(g, vals, &enc, varSlots, nVars, varNames, sink)
+	blocks := make([]valuesBlock, len(g.Values))
+	for i, vb := range g.Values {
+		blocks[i].slots = make([]int, len(vb.Vars))
+		for k, name := range vb.Vars {
+			blocks[i].slots[k] = run.varSlots[name]
+		}
+		blocks[i].rows = make([][]uint64, len(vb.Rows))
+		for j, vrow := range vb.Rows {
+			ids := make([]uint64, len(vrow))
+			for k, term := range vrow {
+				if term != "" { // "" is UNDEF and stays 0
+					ids[k] = run.terms.intern(term)
+				}
+			}
+			blocks[i].rows[j] = ids
+		}
+	}
+	return forEachValuesRow(blocks, 0, make([]uint64, run.nVars), func(vals []uint64) bool {
+		return run.evalSeeded(vals, &enc, sink)
 	})
 }
 
 // groupEncoding is one UNION branch's seed-independent compiled state.
 type groupEncoding struct {
-	required  []query.Pattern
-	optionals []encodedOptional
-	bindExpr  map[string]sparql.Expr
+	g            sparql.Group
+	required     []query.Pattern
+	requiredVars uint64 // slots the required patterns mention
+	optionals    []encodedOptional
+	bindExpr     map[string]sparql.Expr
+	bindSlots    []int // target slot of each of g.Binds
 }
 
-// encodedOptional pairs an OPTIONAL block with its engine patterns.
+// encodedOptional is an OPTIONAL block compiled for the engine.
 type encodedOptional struct {
-	raw      sparql.Optional
 	patterns []query.Pattern
+	filters  []sparql.Expr
+	vars     uint64 // slots the block's patterns mention
+}
+
+// valuesBlock is one VALUES block with its cells interned: rows[j][k]
+// is the ID of row j's cell for slots[k], 0 for UNDEF.
+type valuesBlock struct {
+	slots []int
+	rows  [][]uint64
+}
+
+// varMask returns the slots of the variables the surface patterns
+// mention.
+func varMask(pats [][3]string, varSlots map[string]int) uint64 {
+	var m uint64
+	for _, pat := range pats {
+		for _, t := range pat {
+			if strings.HasPrefix(t, "?") {
+				m |= 1 << uint(varSlots[t[1:]])
+			}
+		}
+	}
+	return m
 }
 
 // encodePatterns translates surface patterns to engine terms; ok is
@@ -609,41 +718,31 @@ func (r *Reasoner) encodePatterns(pats [][3]string, varSlots map[string]int) ([]
 
 // forEachValuesRow enumerates every cross-block-compatible combination
 // of the VALUES blocks' rows (one empty combination when there are no
-// blocks). UNDEF cells bind nothing; a variable two blocks both bind
-// must agree. Returns false when fn stopped the enumeration.
-func forEachValuesRow(blocks []sparql.Values, i int, acc map[string]string, fn func(map[string]string) bool) bool {
+// blocks) as a WHERE row, 0 marking slots no block binds. UNDEF cells
+// bind nothing; a variable two blocks both bind must agree, and since
+// VALUES cells are interned, ID equality is term equality. Returns
+// false when fn stopped the enumeration.
+func forEachValuesRow(blocks []valuesBlock, i int, acc []uint64, fn func([]uint64) bool) bool {
 	if i == len(blocks) {
 		return fn(acc)
 	}
 	vb := blocks[i]
-	for _, vrow := range vb.Rows {
-		merged := acc
-		compatible, cloned := true, false
-		for k, name := range vb.Vars {
-			term := vrow[k]
-			if term == "" {
+	merged := make([]uint64, len(acc))
+	for _, vrow := range vb.rows {
+		copy(merged, acc)
+		compatible := true
+		for k, id := range vrow {
+			if id == 0 {
 				continue // UNDEF
 			}
-			if cur, ok := merged[name]; ok {
-				if cur != term {
-					compatible = false
-					break
-				}
-				continue
+			slot := vb.slots[k]
+			if cur := merged[slot]; cur != 0 && cur != id {
+				compatible = false
+				break
 			}
-			if !cloned {
-				c := make(map[string]string, len(merged)+len(vb.Vars))
-				for k2, v2 := range merged {
-					c[k2] = v2
-				}
-				merged, cloned = c, true
-			}
-			merged[name] = term
+			merged[slot] = id
 		}
-		if !compatible {
-			continue
-		}
-		if !forEachValuesRow(blocks, i+1, merged, fn) {
+		if compatible && !forEachValuesRow(blocks, i+1, merged, fn) {
 			return false
 		}
 	}
@@ -652,202 +751,210 @@ func forEachValuesRow(blocks []sparql.Values, i int, acc map[string]string, fn f
 
 // evalSeeded runs one VALUES combination: seed the engine with the
 // combination's dictionary-known bindings, left-join the live OPTIONAL
-// blocks, decode, overlay dictionary-unknown VALUES cells, and run the
-// group tail (BINDs, FILTERs). An unknown VALUES term pinning a
+// blocks, overlay the VALUES cells absent from the dictionary, and run
+// the group tail (BINDs, FILTERs). An absent VALUES term pinning a
 // required-pattern variable proves the combination empty; pinning only
 // optional patterns kills just those blocks (their variables stay
 // unbound); pinning nothing still appears in the output rows.
-func (r *Reasoner) evalSeeded(g sparql.Group, vals map[string]string, enc *groupEncoding, varSlots map[string]int, nVars int, varNames []string, sink func(map[string]string) bool) bool {
-	patternVar := func(pats [][3]string, name string) bool {
-		for _, pat := range pats {
-			for _, t := range pat {
-				if strings.HasPrefix(t, "?") && t[1:] == name {
-					return true
-				}
-			}
-		}
-		return false
-	}
-
+func (run *queryRun) evalSeeded(vals []uint64, enc *groupEncoding, sink func([]uint64) bool) bool {
 	var seed []query.Binding
-	var unknown map[string]bool // VALUES vars with no dictionary entry
-	for name, term := range vals {
-		if id, ok := r.engine.Dict.Lookup(term); ok {
-			seed = append(seed, query.Binding{Slot: varSlots[name], ID: id})
-			continue
+	var absent uint64 // VALUES slots whose term no stored triple contains
+	for slot, id := range vals {
+		switch {
+		case id == 0:
+		case isComputed(id):
+			absent |= 1 << uint(slot)
+		default:
+			seed = append(seed, query.Binding{Slot: slot, ID: id})
 		}
-		if patternVar(g.Patterns, name) {
-			return true // no stored triple can contain the term
-		}
-		if unknown == nil {
-			unknown = map[string]bool{}
-		}
-		unknown[name] = true
 	}
-
-	// BIND targets are visible to OPTIONAL FILTERs (SPARQL binds them
-	// before a later OPTIONAL), resolved on demand over the variables
-	// bound at that point of the left join.
-	bindExpr := enc.bindExpr
+	if absent&enc.requiredVars != 0 {
+		return true // no stored triple can contain the term
+	}
 
 	var opts []query.OptionalGroup
-	for _, eo := range enc.optionals {
-		dead := false
-		for name := range unknown {
-			if patternVar(eo.raw.Patterns, name) {
-				dead = true // pinned to a term no triple contains
-				break
-			}
-		}
-		if dead {
-			continue
+	for i := range enc.optionals {
+		eo := &enc.optionals[i]
+		if absent&eo.vars != 0 {
+			continue // pinned to a term no triple contains
 		}
 		opt := query.OptionalGroup{Patterns: eo.patterns}
-		if len(eo.raw.Filters) > 0 {
-			filters := eo.raw.Filters
-			opt.Accept = func(row []uint64, bound uint64) bool {
-				var inProgress map[string]bool
-				var lookup func(string) (string, bool)
-				lookup = func(name string) (string, bool) {
-					if slot, ok := varSlots[name]; ok && bound&(1<<uint(slot)) != 0 {
-						return r.engine.Dict.MustDecode(row[slot]), true
-					}
-					if unknown[name] {
-						return vals[name], true
-					}
-					if e, ok := bindExpr[name]; ok && !inProgress[name] {
-						if inProgress == nil {
-							inProgress = map[string]bool{}
-						}
-						inProgress[name] = true
-						term, okEval := sparql.EvalTerm(e, lookup)
-						delete(inProgress, name)
-						return term, okEval
-					}
-					return "", false
-				}
-				for _, f := range filters {
-					if !sparql.Eval(f, lookup) {
-						return false
-					}
-				}
-				return true
-			}
+		if len(eo.filters) > 0 {
+			opt.Accept = run.optionalFilter(eo.filters, vals, absent, enc.bindExpr)
 		}
 		opts = append(opts, opt)
 	}
 
-	eng := r.queryEngine()
+	cur := run.cur
 	cont := true
-	_ = eng.SolveLeftJoin(enc.required, opts, nVars, seed, func(row []uint64, bound uint64) bool {
-		out := make(map[string]string, len(varNames))
-		for slot, name := range varNames {
+	_ = run.r.queryEngine().SolveLeftJoin(enc.required, opts, run.nVars, seed, func(row []uint64, bound uint64) bool {
+		for slot := range cur {
 			if bound&(1<<uint(slot)) != 0 {
-				out[name] = r.engine.Dict.MustDecode(row[slot])
+				cur[slot] = row[slot]
+			} else {
+				cur[slot] = vals[slot] // an absent VALUES term, or 0
 			}
 		}
-		for name := range unknown {
-			out[name] = vals[name]
-		}
-		cont = r.finishRow(g, out, sink)
+		cont = run.finishRow(enc, sink)
 		return cont
 	})
 	return cont
 }
 
-// finishRow runs one decoded solution through the group's tail: BINDs
-// in order (an erroring expression leaves its target unbound) and the
-// group's FILTERs (the VALUES data already joined upstream, before the
-// OPTIONAL blocks).
-func (r *Reasoner) finishRow(g sparql.Group, row map[string]string, sink func(map[string]string) bool) bool {
-	lookup := mapLookup(row) // reads the map live, so one closure serves the whole tail
-	for _, b := range g.Binds {
-		if _, ok := row[b.Var]; ok {
+// optionalFilter builds an OPTIONAL block's acceptance check: its
+// FILTERs over the candidate extension. BIND targets are visible to
+// them (SPARQL binds them before a later OPTIONAL), resolved on demand
+// over the variables bound at that point of the left join.
+func (run *queryRun) optionalFilter(filters []sparql.Expr, vals []uint64, absent uint64, bindExpr map[string]sparql.Expr) func(row []uint64, bound uint64) bool {
+	var row []uint64
+	var bound uint64
+	var inProgress map[string]bool
+	var lookup func(string) (string, bool)
+	lookup = func(name string) (string, bool) {
+		if slot, ok := run.varSlots[name]; ok {
+			if bound&(1<<uint(slot)) != 0 {
+				return run.terms.decode(row[slot])
+			}
+			if absent&(1<<uint(slot)) != 0 {
+				return run.terms.decode(vals[slot])
+			}
+		}
+		if e, ok := bindExpr[name]; ok && !inProgress[name] {
+			if inProgress == nil {
+				inProgress = map[string]bool{}
+			}
+			inProgress[name] = true
+			term, okEval := sparql.EvalTerm(e, lookup)
+			delete(inProgress, name)
+			return term, okEval
+		}
+		return "", false
+	}
+	return func(r []uint64, b uint64) bool {
+		row, bound = r, b
+		for _, f := range filters {
+			if !sparql.Eval(f, lookup) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// finishRow runs the WHERE row in run.cur through the group's tail:
+// BINDs in order (an erroring expression leaves its target unbound;
+// a computed term is interned, so it compares by ID like any other)
+// and the group's FILTERs (the VALUES data already joined upstream,
+// before the OPTIONAL blocks).
+func (run *queryRun) finishRow(enc *groupEncoding, sink func([]uint64) bool) bool {
+	for i, b := range enc.g.Binds {
+		slot := enc.bindSlots[i]
+		if run.cur[slot] != 0 {
 			continue // defensive: the parser rejects rebinding targets
 		}
-		if term, ok := sparql.EvalTerm(b.Expr, lookup); ok {
-			row[b.Var] = term
+		if term, ok := sparql.EvalTerm(b.Expr, run.lookup); ok {
+			run.cur[slot] = run.terms.intern(term)
 		}
 	}
-	for _, f := range g.Filters {
-		if !sparql.Eval(f, lookup) {
+	for _, f := range enc.g.Filters {
+		if !sparql.Eval(f, run.lookup) {
 			return true // constraint failed: keep walking
 		}
 	}
-	return sink(row)
+	return sink(run.cur)
 }
 
-// mapLookup adapts a row map to the expression evaluator's lookup.
-func mapLookup(m map[string]string) func(string) (string, bool) {
-	return func(name string) (string, bool) {
-		v, ok := m[name]
-		return v, ok
-	}
-}
-
-// rowPipeline applies the solution modifiers after FILTER and
-// aggregation: projection, DISTINCT (on the projected row), OFFSET,
-// and LIMIT, in SPARQL's order. push returns false once delivery must
-// stop (limit reached or the consumer aborted).
+// rowPipeline applies the solution modifiers after aggregation and
+// ORDER BY: DISTINCT (on the projected columns), OFFSET, and LIMIT, in
+// SPARQL's order, and delivers the survivors as Rows. push returns
+// false once delivery must stop (limit reached or the consumer
+// aborted). Rows are not copied: a delivered Row aliases the pushed
+// row, which is valid for the callback only.
 type rowPipeline struct {
-	project  bool
-	vars     []string
+	run      *queryRun
 	distinct bool
+	seen     map[string]struct{}
+	key      []byte
 	offset   int
 	limit    int // -1 = unlimited
-	seen     map[string]bool
 	sent     int
 	skipped  int
-	out      func(map[string]string) bool
+	out      func(Row) bool
 }
 
-func (pl *rowPipeline) push(row map[string]string) bool {
+func (pl *rowPipeline) push(row []uint64) bool {
 	if pl.limit == 0 {
 		return false
 	}
-	if pl.project {
-		projected := make(map[string]string, len(pl.vars))
-		for _, v := range pl.vars {
-			if val, ok := row[v]; ok {
-				projected[v] = val
-			}
-		}
-		row = projected
-	}
 	if pl.distinct {
-		key := solutionKey(pl.vars, row)
-		if pl.seen[key] {
+		// The key is the fixed-width tuple of projected IDs (0 for an
+		// unbound cell): with computed terms interned, equal tuples are
+		// exactly equal projected rows.
+		pl.key = pl.key[:0]
+		for _, col := range pl.run.project {
+			pl.key = binary.LittleEndian.AppendUint64(pl.key, row[col])
+		}
+		if _, dup := pl.seen[string(pl.key)]; dup {
 			return true
 		}
-		pl.seen[key] = true
+		pl.seen[string(pl.key)] = struct{}{}
 	}
 	if pl.skipped < pl.offset {
 		pl.skipped++
 		return true
 	}
-	if pl.out != nil && !pl.out(row) {
+	if pl.out != nil && !pl.out(Row{ids: row, run: pl.run}) {
 		return false
 	}
 	pl.sent++
 	return pl.limit < 0 || pl.sent < pl.limit
 }
 
-// solutionKey serializes the named cells of a row into an unambiguous
-// key for DISTINCT and GROUP BY: every bound value is length-prefixed
-// and an unbound cell gets its own marker, so no combination of
-// missing keys and value contents (including NUL bytes) can collide.
-func solutionKey(vars []string, row map[string]string) string {
-	var b strings.Builder
-	var num [20]byte
-	for _, v := range vars {
-		if val, ok := row[v]; ok {
-			b.WriteByte('B')
-			b.Write(strconv.AppendInt(num[:0], int64(len(val)), 10))
-			b.WriteByte(':')
-			b.WriteString(val)
-		} else {
-			b.WriteByte('U')
-		}
+// computedTag marks the IDs a termTable hands out for computed terms
+// absent from the dictionary; no dictionary ID has bit 63 set. 0 is
+// never an ID of either kind, so rows use it for an unbound cell.
+const computedTag = 1 << 63
+
+func isComputed(id uint64) bool { return id&computedTag != 0 }
+
+// termTable is one evaluation's ID ↔ term mapping. Stored IDs decode
+// through the dictionary, which is a slice index; computed terms (BIND
+// results, aggregate values, VALUES cells) are interned: a term the
+// dictionary holds takes its dictionary ID, any other a tagged ID in
+// this per-query side table. ID equality is therefore term equality
+// for every row the pipeline carries. The table dies with the query,
+// so it never grows the reasoner's heap.
+type termTable struct {
+	dict     *dictionary.Dictionary
+	computed []string          // computed[i] is the term of ID computedTag|i
+	index    map[string]uint64 // computed term → its tagged ID
+}
+
+// decode returns the surface form of id; ok is false for 0 (unbound).
+func (t *termTable) decode(id uint64) (string, bool) {
+	switch {
+	case id == 0:
+		return "", false
+	case isComputed(id):
+		return t.computed[id&^computedTag], true
 	}
-	return b.String()
+	return t.dict.Decode(id)
+}
+
+// intern returns the ID of a computed term: its dictionary ID when the
+// store knows it, otherwise a tagged side-table ID.
+func (t *termTable) intern(term string) uint64 {
+	if id, ok := t.dict.Lookup(term); ok {
+		return id
+	}
+	if id, ok := t.index[term]; ok {
+		return id
+	}
+	if t.index == nil {
+		t.index = map[string]uint64{}
+	}
+	id := computedTag | uint64(len(t.computed))
+	t.computed = append(t.computed, term)
+	t.index[term] = id
+	return id
 }

@@ -11,6 +11,8 @@ package inferray_test
 // merge-join executor, aggregation stage, and top-k ORDER BY buffer.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -478,6 +480,26 @@ func TestSelectEquivalenceQuick(t *testing.T) {
 		`SELECT * WHERE { VALUES ?a { <s0> <s9> } OPTIONAL { ?a <p> ?b } }`,
 		`SELECT * WHERE { VALUES (?a ?b) { (<s0> UNDEF) (UNDEF <s1>) } OPTIONAL { ?a <p> ?b } }`,
 		`SELECT * WHERE { ?a <p> ?o . BIND(?o AS ?lim) OPTIONAL { ?a <q> ?z . FILTER(?z != ?lim) } }`,
+		// Interning: a BIND result that equals a stored term must take
+		// that term's ID, so DISTINCT and GROUP BY treat it exactly
+		// like the same term bound by a pattern; computed terms the
+		// store lacks must agree among themselves.
+		`SELECT DISTINCT ?x WHERE { { ?a <p> ?b . BIND(?a AS ?x) } UNION { ?x <q> ?c } }`,
+		`SELECT DISTINCT ?a ?x WHERE { { ?a <p> ?b . BIND(<s1> AS ?x) } UNION { ?a <q> ?x } }`,
+		`SELECT DISTINCT ?x WHERE { ?a <r> ?b . BIND("zz" AS ?x) }`,
+		`SELECT ?x (COUNT(*) AS ?n) WHERE { { ?a <p> ?b . BIND(?b AS ?x) } UNION { ?x <q> ?c } } GROUP BY ?x ORDER BY ?x`,
+		`SELECT ?x (COUNT(DISTINCT ?a) AS ?n) WHERE { ?a <p> ?b . BIND(?b > 2 AS ?x) } GROUP BY ?x ORDER BY ?x`,
+		// VALUES cells the dictionary lacks: pinning a required
+		// variable, pinning only an OPTIONAL one, and pinning nothing
+		// (repeated, so DISTINCT must merge the computed IDs).
+		`SELECT * WHERE { VALUES (?a ?b) { (<s9> <s0>) (<s0> "none") (<s1> UNDEF) } ?a <p> ?b }`,
+		`SELECT * WHERE { ?a <p> ?b . VALUES ?c { <s9> "3" } OPTIONAL { ?a <q> ?c } }`,
+		`SELECT DISTINCT ?a ?t WHERE { VALUES ?t { "new" <s9> "new" <s1> } ?a <r> ?b }`,
+		// ORDER BY over mixed literals and IRIs, with and without LIMIT.
+		`SELECT ?a ?b WHERE { ?a ?p ?b } ORDER BY ?b ?a`,
+		`SELECT ?a ?p ?b WHERE { ?a ?p ?b } ORDER BY DESC(?b) ?p LIMIT 5`,
+		`SELECT ?a ?b WHERE { ?a ?p ?b } ORDER BY ?b OFFSET 2 LIMIT 4`,
+		`SELECT ?a ?x WHERE { ?a <q> ?b . BIND(?b AS ?x) } ORDER BY DESC(?x) ?a LIMIT 3`,
 	}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -511,6 +533,66 @@ func TestSelectEquivalenceQuick(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// tripAfterCtx is a cancelable context whose Err trips after a fixed
+// number of checks, so a test can cancel an evaluation at an exact
+// point of its scan.
+type tripAfterCtx struct {
+	context.Context
+	checks, tripAt int
+}
+
+func (c *tripAfterCtx) Done() <-chan struct{} { return make(chan struct{}) }
+
+func (c *tripAfterCtx) Err() error {
+	c.checks++
+	if c.checks >= c.tripAt {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestExecCanceledMidScan cancels evaluations between the pre-check
+// and the first poll inside the scan (the 256th row entering the
+// modifier tail): every shape must return the context's error, and the
+// buffering shapes must not flush a partial solution set.
+func TestExecCanceledMidScan(t *testing.T) {
+	r := inferray.New(inferray.WithFragment(inferray.RhoDF))
+	for i := 0; i < 1000; i++ {
+		if err := r.Add(fmt.Sprintf("<s%d>", i), "<p>", fmt.Sprintf("<o%d>", i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		query     string
+		buffering bool
+	}{
+		{`SELECT ?s WHERE { ?s <p> ?o }`, false},
+		{`SELECT DISTINCT ?o WHERE { ?s <p> ?o }`, false},
+		{`SELECT ?s WHERE { ?s <p> ?o } ORDER BY ?s LIMIT 3`, true},
+		{`SELECT ?s WHERE { ?s <p> ?o } ORDER BY DESC(?s)`, true},
+		{`SELECT ?o (COUNT(*) AS ?n) WHERE { ?s <p> ?o } GROUP BY ?o`, true},
+	} {
+		ctx := &tripAfterCtx{Context: context.Background(), tripAt: 2}
+		rows := 0
+		_, err := r.Exec(ctx, c.query, 0, nil, func(inferray.Row) bool {
+			rows++
+			return true
+		})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v, want the context's error", c.query, err)
+		}
+		if c.buffering && rows != 0 {
+			t.Errorf("%s: %d rows delivered from a canceled buffered evaluation", c.query, rows)
+		}
+		if !c.buffering && rows >= 1000 {
+			t.Errorf("%s: scan ran to completion (%d rows) despite the deadline", c.query, rows)
 		}
 	}
 }
