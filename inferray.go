@@ -237,6 +237,39 @@ func (r *Reasoner) bumpGenerationLocked() {
 	}
 }
 
+// applyLocked applies one write batch and advances the store generation
+// when the closure moved: an add is LoadTriples plus an incremental
+// Materialize, a delete is Retract. It is the single apply step behind
+// live writes, WAL replay and replicated records, so one record sequence
+// yields one generation sequence on a leader, on its restart and on its
+// followers. The caller holds r.mu for writing (recovery runs before the
+// reasoner is shared) and has logged the batch first where it logs at
+// all. held is when the caller took the write lock — recovery, which
+// takes none, passes the apply's own start — so the time from held to
+// the end of the apply, recorded in inferray_write_lock_hold_seconds,
+// covers the WAL append (and its fsync) made under the same lock.
+func (r *Reasoner) applyLocked(op WALOp, batch []rdf.Triple, held time.Time) (Stats, reasoner.RetractStats, error) {
+	var (
+		st  Stats
+		rs  reasoner.RetractStats
+		err error
+	)
+	switch op {
+	case WALAdd:
+		r.engine.LoadTriples(batch)
+		st = r.engine.Materialize()
+	case WALDelete:
+		rs, err = r.engine.Retract(batch)
+	default:
+		return st, rs, fmt.Errorf("inferray: unknown write op kind %d", op)
+	}
+	r.bumpGenerationLocked()
+	if len(batch) > 0 { // an empty batch applies nothing
+		r.obs.lockHold(op).ObserveDuration(time.Since(held))
+	}
+	return st, rs, err
+}
+
 // New creates an in-memory reasoner. It panics if the options include
 // WithDurability — recovery does I/O and can fail, so durable
 // reasoners are built with Open.
@@ -321,19 +354,15 @@ func Open(opts ...Option) (*Reasoner, error) {
 			r.genSum = r.engine.Main.VersionSum()
 			return nil
 		},
-		// Replaying a record advances the generation exactly the way the
-		// live path that logged it did — one bump per record that changed
-		// the closure — so every process replaying the same (image, log)
-		// prefix lands on the same generation number.
+		// Replaying a record runs the apply step the live path that logged
+		// it ran, so every process replaying the same (image, log) prefix
+		// lands on the same generation number.
 		Replay: func(batch []rdf.Triple) error {
-			r.engine.LoadTriples(batch)
-			r.engine.Materialize()
-			r.bumpGenerationLocked()
-			return nil
+			_, _, err := r.applyLocked(WALAdd, batch, time.Now())
+			return err
 		},
 		ReplayDelete: func(batch []rdf.Triple) error {
-			_, err := r.engine.Retract(batch)
-			r.bumpGenerationLocked()
+			_, _, err := r.applyLocked(WALDelete, batch, time.Now())
 			return err
 		},
 	}
@@ -457,6 +486,7 @@ func (r *Reasoner) materialize(autoCheckpoint bool) (Stats, error) {
 	r.pendingMu.Unlock()
 
 	r.mu.Lock()
+	held := time.Now()
 	if r.dur != nil && len(batch) > 0 {
 		if err := r.dur.Append(batch); err != nil {
 			r.mu.Unlock()
@@ -466,9 +496,7 @@ func (r *Reasoner) materialize(autoCheckpoint bool) (Stats, error) {
 			return Stats{}, fmt.Errorf("inferray: write-ahead log: %w", err)
 		}
 	}
-	r.engine.LoadTriples(batch)
-	st := r.engine.Materialize()
-	r.bumpGenerationLocked()
+	st, _, _ := r.applyLocked(WALAdd, batch, held) // an add cannot fail
 	r.mu.Unlock()
 
 	if autoCheckpoint && r.dur != nil && r.dur.ShouldRotate() {

@@ -435,6 +435,13 @@ func (r *Relation) ForEachCyclicSCC(fn func(members []uint64)) {
 // carry virtual content. It is immutable once built (the reasoner
 // replaces the whole index when a subClassOf/subPropertyOf table
 // changes); the embedded caches are concurrency-safe.
+//
+// The index also keeps the census of the visible rdf:type relation —
+// how many type pairs and how many distinct classes are visible. The
+// first read after the index is built takes it by one full scan of the
+// type table; from then on the reasoner maintains it from the subject
+// runs each write touches (TypePairsAdded, TypePairsRemoving), so later
+// reads never scan.
 type Index struct {
 	// Classes is the subClassOf hierarchy, Props the subPropertyOf one.
 	Classes *Relation
@@ -444,13 +451,27 @@ type Index struct {
 
 	mu       sync.Mutex
 	sigCount map[string]int // class-set signature -> visible type count
-	typeMemo typeMemo
+
+	censusMu sync.Mutex  // guards the lazy first scan of census
+	census   *typeCensus // nil until first read
 
 	// subjMemo caches the merged visible subject list per class for
 	// virtual type scans (View.typeSubjects), valid for one type-table
 	// version; a version bump drops the whole map.
 	subjVersion uint64
 	subjMemo    map[uint64][]uint64
+}
+
+// typeCensus is the maintained summary of the visible rdf:type
+// relation. Writers update it under the reasoner's exclusive lock, and
+// only once it exists; readers load the two totals.
+type typeCensus struct {
+	visible int            // visible type pairs
+	stored  map[uint64]int // stored type pairs per class
+	// reach counts, per visible class c, the stored classes whose
+	// expansion ({D} plus every visible super of D) contains c; its key
+	// count is the number of distinct visible classes.
+	reach map[uint64]int
 }
 
 // typeSubjectsCached returns the memoized visible-subject list of a
@@ -476,15 +497,6 @@ func (x *Index) memoTypeSubjects(class, version uint64, subjects []uint64) {
 		x.subjVersion = version
 	}
 	x.subjMemo[class] = subjects
-}
-
-// typeMemo caches the whole-table virtual rdf:type statistics per type
-// table version.
-type typeMemo struct {
-	ok      bool
-	version uint64
-	virtual int // visible type pairs minus stored type pairs
-	objects int // distinct visible classes
 }
 
 // Build constructs the index from the raw (unclosed, normalized)
@@ -564,50 +576,122 @@ func dedupCount(buf []uint64) int {
 	return n
 }
 
-// typeStats returns (virtual type pairs, distinct visible classes) for
-// the given rdf:type table, cached per table version.
-func (x *Index) typeStats(t *store.Table) (virtual, objects int) {
+// countTypes takes the rdf:type census by a full scan of the stored
+// type table t (nil or empty for none): every subject run is expanded
+// through the class relation.
+func (x *Index) countTypes(t *store.Table) *typeCensus {
+	c := &typeCensus{stored: map[uint64]int{}, reach: map[uint64]int{}}
 	if t == nil || t.Empty() {
-		return 0, 0
+		return c
 	}
-	x.mu.Lock()
-	if x.typeMemo.ok && x.typeMemo.version == t.Version() {
-		v, o := x.typeMemo.virtual, x.typeMemo.objects
-		x.mu.Unlock()
-		return v, o
-	}
-	x.mu.Unlock()
-
 	pairs := t.Pairs()
-	stored := len(pairs) / 2
-	visible := 0
-	distinct := make(map[uint64]struct{})
+	var run []uint64
 	for i := 0; i < len(pairs); {
+		run = run[:0]
 		j := i
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			distinct[pairs[j+1]] = struct{}{}
-			j += 2
+		for ; j < len(pairs) && pairs[j] == pairs[i]; j += 2 {
+			run = append(run, pairs[j+1])
 		}
-		run := make([]uint64, 0, (j-i)/2)
-		for k := i; k < j; k += 2 {
-			run = append(run, pairs[k+1])
+		c.visible += x.visibleTypeCount(run)
+		for _, d := range run {
+			x.storeClass(c, d, 1)
 		}
-		visible += x.visibleTypeCount(run)
 		i = j
 	}
-	buf := make([]uint64, 0, len(distinct))
-	for c := range distinct {
-		buf = append(buf, c)
-	}
-	base := append([]uint64(nil), buf...)
-	for _, c := range base {
-		buf = x.Classes.AppendSupers(c, buf)
-	}
-	virtual = visible - stored
-	objects = dedupCount(buf)
+	return c
+}
 
-	x.mu.Lock()
-	x.typeMemo = typeMemo{ok: true, version: t.Version(), virtual: virtual, objects: objects}
-	x.mu.Unlock()
-	return virtual, objects
+// TypePairsAdded updates the census after the sorted, duplicate-free
+// pairs added were merged into the stored type table t.
+func (x *Index) TypePairsAdded(t *store.Table, added []uint64) {
+	x.adjustTypes(t, added, 1)
+}
+
+// TypePairsRemoving updates the census for the removal of the sorted,
+// duplicate-free pairs removed from the stored type table t; call it
+// before t drops them. Pairs t does not hold are ignored.
+func (x *Index) TypePairsRemoving(t *store.Table, removed []uint64) {
+	x.adjustTypes(t, removed, -1)
+}
+
+// adjustTypes re-counts the subject runs of pairs: t holds each run
+// with pairs' classes included (after an add, before a removal), so the
+// run without them is the other side of the change. Work is
+// proportional to the touched runs, not to the table.
+func (x *Index) adjustTypes(t *store.Table, pairs []uint64, sign int) {
+	c := x.census // no concurrent reader: writes hold the reasoner's exclusive lock
+	if c == nil || len(pairs) == 0 || t == nil || t.Empty() {
+		return // not taken yet: the first read scans the current table
+	}
+	stored := t.Pairs()
+	var with, without []uint64
+	for i := 0; i < len(pairs); {
+		s := pairs[i]
+		lo, hi := t.SubjectRun(s)
+		with, without = with[:0], without[:0]
+		for k := lo; k < hi; k++ {
+			d := stored[2*k+1]
+			for i < len(pairs) && pairs[i] == s && pairs[i+1] < d {
+				i += 2 // not stored: nothing to count
+			}
+			if i < len(pairs) && pairs[i] == s && pairs[i+1] == d {
+				i += 2
+				x.storeClass(c, d, sign)
+			} else {
+				without = append(without, d)
+			}
+			with = append(with, d)
+		}
+		for i < len(pairs) && pairs[i] == s {
+			i += 2
+		}
+		if len(with) != len(without) {
+			c.visible += sign * (x.visibleTypeCount(with) - x.visibleTypeCount(without))
+		}
+	}
+}
+
+// storeClass moves the stored-pair count of class d in census c by
+// delta; when the class enters or leaves the stored set, its expansion
+// enters or leaves the reach counts.
+func (x *Index) storeClass(c *typeCensus, d uint64, delta int) {
+	before := c.stored[d]
+	after := before + delta
+	if after == 0 {
+		delete(c.stored, d)
+	} else {
+		c.stored[d] = after
+	}
+	if (before == 0) == (after == 0) {
+		return
+	}
+	step := 1
+	if after == 0 {
+		step = -1
+	}
+	bump := func(k uint64) {
+		if n := c.reach[k] + step; n == 0 {
+			delete(c.reach, k)
+		} else {
+			c.reach[k] = n
+		}
+	}
+	bump(d)
+	for _, k := range x.Classes.AppendSupers(d, nil) {
+		if k != d {
+			bump(k)
+		}
+	}
+}
+
+// typeCounts returns the census totals for the stored type table t:
+// visible type pairs and distinct visible classes. The first call on an
+// index takes the census by a full scan; safe for concurrent readers.
+func (x *Index) typeCounts(t *store.Table) (visible, classes int) {
+	x.censusMu.Lock()
+	defer x.censusMu.Unlock()
+	if x.census == nil {
+		x.census = x.countTypes(t)
+	}
+	return x.census.visible, len(x.census.reach)
 }

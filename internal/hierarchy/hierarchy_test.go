@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -228,5 +229,40 @@ func TestViewTypeExpansion(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("walked %d past abort", n)
+	}
+}
+
+// TestTypeCensusMaintained checks the incremental rdf:type census
+// against a fresh index's full scan across random merges and deletions of
+// type pairs over a small diamond-with-cycle class hierarchy.
+func TestTypeCensusMaintained(t *testing.T) {
+	const typePidx, scPidx, spPidx = 0, 1, 2
+	sc := []uint64{100, 101, 100, 102, 101, 103, 102, 103, 104, 105, 105, 104}
+	idx := Build(sc, nil, typePidx, scPidx, spPidx)
+	st := store.New(3)
+	st.Ensure(typePidx)
+	idx.typeCounts(st.Table(typePidx)) // take the census while the table is empty
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 400; step++ {
+		batch := store.New(3)
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			batch.Add(typePidx, uint64(rng.Intn(8)), uint64(100+rng.Intn(7)))
+		}
+		batch.Normalize()
+		tt := st.Ensure(typePidx)
+		if step%3 == 2 {
+			idx.TypePairsRemoving(tt, batch.Table(typePidx).Pairs())
+			tt.DeletePairs(batch.Table(typePidx).Pairs())
+		} else {
+			delta, _ := store.MergeRound(st, batch, false)
+			if dt := delta.Table(typePidx); dt != nil {
+				idx.TypePairsAdded(tt, dt.Pairs())
+			}
+		}
+		visible, classes := idx.typeCounts(tt)
+		wantVisible, wantClasses := Build(sc, nil, typePidx, scPidx, spPidx).typeCounts(tt)
+		if visible != wantVisible || classes != wantClasses {
+			t.Fatalf("step %d: census (%d, %d), full scan (%d, %d)", step, visible, classes, wantVisible, wantClasses)
+		}
 	}
 }

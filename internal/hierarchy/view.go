@@ -300,9 +300,9 @@ func (v *View) Stats(pidx int) store.TableStats {
 			return store.TableStats{}
 		}
 		st := t.Stats()
-		virtual, objects := v.Idx.typeStats(t)
-		st.Pairs += virtual
-		st.Objects = objects
+		visible, classes := v.Idx.typeCounts(t)
+		st.Pairs = visible
+		st.Objects = classes
 		st.ObjectsExact = true
 		return st
 	}
@@ -324,6 +324,9 @@ func (v *View) VirtualCounts() (vSC, vSP, vType int) {
 	if t := v.table(v.Idx.spPidx); t != nil {
 		vSP -= t.Size()
 	}
-	vType, _ = v.Idx.typeStats(v.table(v.Idx.typePidx))
+	if t := v.table(v.Idx.typePidx); t != nil {
+		visible, _ := v.Idx.typeCounts(t)
+		vType = visible - t.Size()
+	}
 	return vSC, vSP, vType
 }

@@ -436,8 +436,14 @@ func writeHistogram(b *strings.Builder, name string, labels, values []string, h 
 	b.WriteString("_bucket")
 	writeLabels(b, labels, values, "le", math.Inf(1))
 	fmt.Fprintf(b, " %d\n", cum)
-	fmt.Fprintf(b, "%s_sum %s\n", name, formatValue(h.Sum()))
-	fmt.Fprintf(b, "%s_count %d\n", name, h.Count())
+	b.WriteString(name)
+	b.WriteString("_sum")
+	writeLabels(b, labels, values, "", 0)
+	fmt.Fprintf(b, " %s\n", formatValue(h.Sum()))
+	b.WriteString(name)
+	b.WriteString("_count")
+	writeLabels(b, labels, values, "", 0)
+	fmt.Fprintf(b, " %d\n", h.Count())
 }
 
 // writeLabels renders a {k="v",...} block; le != "" appends the bucket

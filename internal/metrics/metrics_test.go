@@ -107,8 +107,9 @@ func TestInvalidNamePanics(t *testing.T) {
 }
 
 // TestExpositionGolden pins the full exposition format byte-for-byte:
-// family ordering, label rendering/escaping, histogram series, and
-// value formatting.
+// family ordering, label rendering/escaping, histogram series (a
+// labeled histogram's _sum and _count carry the child's labels too),
+// and value formatting.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("z_total", "a counter, registered first but sorted last")
@@ -125,6 +126,9 @@ func TestExpositionGolden(t *testing.T) {
 	v.With("/query", "200").Add(5)
 	v.With("/query", "500").Inc()
 	v.With(`/we"ird`+"\n", `b\s`).Inc()
+	hv := r.HistogramVec("hold_seconds", "hold", []float64{1}, "op")
+	hv.With("delete").Observe(2)
+	hv.With("add").Observe(0.5)
 
 	const want = `# HELP a_gauge a gauge
 # TYPE a_gauge gauge
@@ -132,6 +136,16 @@ a_gauge -2
 # HELP build_info build metadata
 # TYPE build_info gauge
 build_info{version="v1.2.3",go="go1.24"} 1
+# HELP hold_seconds hold
+# TYPE hold_seconds histogram
+hold_seconds_bucket{op="add",le="1"} 1
+hold_seconds_bucket{op="add",le="+Inf"} 1
+hold_seconds_sum{op="add"} 0.5
+hold_seconds_count{op="add"} 1
+hold_seconds_bucket{op="delete",le="1"} 0
+hold_seconds_bucket{op="delete",le="+Inf"} 1
+hold_seconds_sum{op="delete"} 2
+hold_seconds_count{op="delete"} 1
 # HELP lat_seconds latency
 # TYPE lat_seconds histogram
 lat_seconds_bucket{le="0.01"} 1

@@ -19,6 +19,7 @@ package reasoner
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -120,6 +121,12 @@ type Engine struct {
 
 	materialized bool
 	staged       *store.Store // triples loaded since the last Materialize
+	// refire holds stored triples that mention a term promoted to the
+	// property side since the last Materialize. They are not new, but
+	// rules that need a property (EQ-REP-P copying a table along a
+	// derived owl:sameAs link) could not fire on them before, so the next
+	// incremental run feeds them to the fixpoint as delta.
+	refire *store.Store
 
 	// asserted records the explicitly loaded (asserted) triples,
 	// independent of the closure: Retract may only remove asserted
@@ -242,10 +249,27 @@ func (e *Engine) LoadTriples(triples []rdf.Triple) {
 	// owl:sameAs links between a property and a non-property term must
 	// put both terms on the property side, or EQ-REP-P could not
 	// replicate the table (a term without a property ID has no table).
+	// That holds for the batch's links and for links stored by earlier
+	// batches, whose endpoints follow a term this batch promotes.
 	// Sameness is transitive, so iterate to a fixpoint; each pass either
 	// moves at least one term to the property side or stops.
-	for changed := true; changed && len(sameAs) > 0; {
+	followed := make(map[uint64]bool)
+	for changed := true; changed; {
 		changed = false
+		for old := range renames {
+			if followed[old] {
+				continue
+			}
+			followed[old] = true
+			for _, partner := range e.storedSameAs(old) {
+				// A partner this batch already promoted no longer decodes.
+				if term, ok := d.Decode(partner); ok && !dictionary.IsProperty(partner) {
+					n := len(renames)
+					asProperty(term)
+					changed = changed || len(renames) > n
+				}
+			}
+		}
 		for _, pair := range sameAs {
 			a, aOK := d.Lookup(pair[0])
 			b, bOK := d.Lookup(pair[1])
@@ -263,6 +287,9 @@ func (e *Engine) LoadTriples(triples []rdf.Triple) {
 	}
 	if len(renames) > 0 {
 		e.Main.RewriteTerms(renames)
+		if e.materialized {
+			e.collectRefire(renames)
+		}
 		e.asserted.RewriteTerms(renames)
 		if e.staged != nil {
 			e.staged.RewriteTerms(renames)
@@ -270,6 +297,19 @@ func (e *Engine) LoadTriples(triples []rdf.Triple) {
 		// A promotion may have moved a vocabulary resource (markers like
 		// owl:TransitiveProperty are resources); refresh the cached IDs.
 		e.V = rules.ResolveVocab(d)
+		// The interval index and its type census are keyed by term id:
+		// rebuild them over the renamed edges, and fall back to full
+		// materialization if the renamed store trips a guard. (Before the
+		// first Materialize the store is unsorted and the full run
+		// rebuilds the index anyway.)
+		if e.materialized && e.hier != nil {
+			e.buildHier()
+			if !e.hierGuardsOK() {
+				e.expandRestoredClosure()
+				e.hier = nil
+				e.hierBypassed = true
+			}
+		}
 	}
 	target := e.Main
 	if e.materialized {
@@ -279,17 +319,62 @@ func (e *Engine) LoadTriples(triples []rdf.Triple) {
 		target = e.staged
 	}
 	target.Grow(d.NumProperties())
-	e.asserted.Grow(d.NumProperties())
+	batch := store.New(d.NumProperties())
 	for _, t := range triples {
 		p, _ := d.Lookup(t.P)
 		s := d.EncodeResource(t.S)
 		o := d.EncodeResource(t.O)
 		pidx := dictionary.PropIndex(p)
 		target.Add(pidx, s, o)
-		e.asserted.Add(pidx, s, o)
+		batch.Add(pidx, s, o)
 	}
+	// The asserted record stays normalized: only the batch is sorted,
+	// then merged in (snapshot writers read the record under a shared
+	// lock and must find it clean).
+	store.MergeRound(e.asserted, batch, e.opts.Parallel)
 	e.Main.Grow(d.NumProperties())
 	e.input += len(triples)
+}
+
+// collectRefire adds to e.refire every main-store triple that mentions
+// a renamed (newly promoted) term.
+func (e *Engine) collectRefire(renames map[uint64]uint64) {
+	promoted := make(map[uint64]bool, len(renames))
+	for _, id := range renames {
+		promoted[id] = true
+	}
+	if e.refire == nil {
+		e.refire = store.New(e.Main.NumSlots())
+	}
+	e.Main.ForEach(func(pidx int, s, o uint64) bool {
+		if promoted[s] || promoted[o] {
+			e.refire.Add(pidx, s, o)
+		}
+		return true
+	})
+}
+
+// storedSameAs returns the owl:sameAs partners of a term id in the main
+// and staged stores, in either direction.
+func (e *Engine) storedSameAs(id uint64) []uint64 {
+	var out []uint64
+	for _, st := range []*store.Store{e.Main, e.staged} {
+		if st == nil {
+			continue
+		}
+		if t := st.Table(e.V.SameAs); t != nil {
+			p := t.RawPairs()
+			for i := 0; i < len(p); i += 2 {
+				switch id {
+				case p[i]:
+					out = append(out, p[i+1])
+				case p[i+1]:
+					out = append(out, p[i])
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Materialize computes the closure of the loaded triples under the
@@ -307,10 +392,6 @@ func (e *Engine) Materialize() Stats {
 	} else {
 		e.Main.Normalize()
 	}
-	// Normalizing the asserted record here (under the caller's write
-	// exclusivity) keeps it clean for snapshot writers, which run under a
-	// shared read lock and must not mutate.
-	e.asserted.Normalize()
 	inputSize := e.Main.Size() // after load-time dedup
 
 	// Line 2: transitivity closures on a dedicated layout (§4.1).
@@ -331,6 +412,11 @@ func (e *Engine) Materialize() Stats {
 	st := Stats{}
 	e.fixpoint(e.Main, nil, true, &st)
 	st.LoopTime = time.Since(loopStart)
+	// Merges keep a built ⟨o,s⟩ cache in step instead of dropping it, so
+	// without this every cache the fixpoint's joins built would outlive
+	// the run. Release them (the paper's clearable cache, §4.2): queries
+	// and writes rebuild the ones they use, and merges maintain those.
+	e.Main.DropOSCaches()
 
 	total := e.Size()
 	st.InputTriples = inputSize
@@ -365,9 +451,8 @@ func (e *Engine) materializeIncremental() Stats {
 	start := time.Now()
 	prevTotal := e.Size()
 	st := Stats{Incremental: true, TotalTriples: prevTotal}
-	e.asserted.Normalize()
-	staged := e.staged
-	e.staged = nil
+	staged, refire := e.staged, e.refire
+	e.staged, e.refire = nil, nil
 	if staged == nil || staged.Size() == 0 {
 		st.TotalTime = time.Since(start)
 		e.finishStats(&st)
@@ -378,7 +463,10 @@ func (e *Engine) materializeIncremental() Stats {
 	delta, changed := store.MergeRound(e.Main, staged, e.opts.Parallel)
 	delta, changed = e.maintainHier(delta, changed)
 	newInput := delta.Size()
-	if newInput > 0 {
+	if refire != nil {
+		changed = foldDelta(delta, changed, refire)
+	}
+	if delta.Size() > 0 {
 		e.fixpoint(delta, changed, false, &st)
 	}
 	st.LoopTime = time.Since(loopStart)
@@ -446,7 +534,7 @@ func (e *Engine) transitivityClosures() {
 			e.hier = nil
 			e.hierBypassed = true
 		} else {
-			e.compactTypeTable(nil, nil)
+			e.compactTypeTable(subjectsOf(e.Main.Table(e.V.Type)), nil, nil)
 		}
 	}
 	if e.hier == nil {
@@ -471,30 +559,42 @@ func (e *Engine) transitivityClosures() {
 		closeTable(e.V.SameAs)
 	}
 	// Every property declared transitive.
-	if tt := e.Main.Table(e.V.Type); tt != nil && !tt.Empty() {
-		os := tt.OS()
-		lo, hi := tt.ObjectRun(e.V.TransitiveProp)
-		for i := lo; i < hi; i++ {
-			p := os[2*i+1]
-			if dictionary.IsProperty(p) {
-				closeTable(dictionary.PropIndex(p))
-			}
-		}
+	e.transitiveProps(closeTable)
+}
+
+// transitiveProps calls fn with the index of every non-empty property
+// table whose property a stored rdf:type pair declares
+// owl:TransitiveProperty. It probes each property in the type table's
+// ⟨s,o⟩ list, so it never builds the type table's ⟨o,s⟩ view.
+func (e *Engine) transitiveProps(fn func(pidx int)) {
+	tt := e.Main.Table(e.V.Type)
+	if tt == nil || tt.Empty() {
+		return
 	}
+	e.Main.ForEachTable(func(pidx int, _ *store.Table) bool {
+		if tt.Contains(dictionary.PropID(pidx), e.V.TransitiveProp) {
+			fn(pidx)
+		}
+		return true
+	})
 }
 
 // buildHier (re)builds the hierarchy interval index from the raw
-// subClassOf/subPropertyOf edges of the main store.
+// subClassOf/subPropertyOf edges of the main store. Its rdf:type census
+// is taken by the first read of the visible counts.
 func (e *Engine) buildHier() {
-	raw := func(pidx int) []uint64 {
-		t := e.Main.Table(pidx)
-		if t == nil || t.Empty() {
-			return nil
-		}
-		return t.Pairs()
-	}
-	e.hier = hierarchy.Build(raw(e.V.SubClassOf), raw(e.V.SubPropertyOf),
+	e.hier = hierarchy.Build(e.rawPairs(e.V.SubClassOf), e.rawPairs(e.V.SubPropertyOf),
 		e.V.Type, e.V.SubClassOf, e.V.SubPropertyOf)
+}
+
+// rawPairs returns the stored pairs of a main-store table, nil when it
+// is absent or empty.
+func (e *Engine) rawPairs(pidx int) []uint64 {
+	t := e.Main.Table(pidx)
+	if t == nil || t.Empty() {
+		return nil
+	}
+	return t.Pairs()
 }
 
 // hierGuardsOK checks the bypass guards of the hierarchy encoding
@@ -572,10 +672,12 @@ func (e *Engine) hierGuardsOK() bool {
 }
 
 // maintainHier runs after every merge round: it rebuilds the interval
-// index when the raw hierarchy edges changed, re-checks the bypass
-// guards when any guard-relevant table changed, and — if a guard
-// tripped — expands the virtual closure into the store and disables the
-// encoding. It returns the (possibly grown) delta and changed set.
+// index when the raw hierarchy edges changed and otherwise folds the
+// round's new rdf:type pairs into the index's type census, re-checks
+// the bypass guards when any guard-relevant table changed, and — if a
+// guard tripped — expands the virtual closure into the store and
+// disables the encoding. It returns the (possibly grown) delta and
+// changed set.
 func (e *Engine) maintainHier(delta *store.Store, changed []int) (*store.Store, []int) {
 	e.hierClassChanged, e.hierPropChanged = false, false
 	if e.hier == nil {
@@ -589,14 +691,12 @@ func (e *Engine) maintainHier(delta *store.Store, changed []int) (*store.Store, 
 		}
 		return false
 	}
-	if touched(e.V.SubClassOf) {
-		e.hierClassChanged = true
-	}
-	if touched(e.V.SubPropertyOf) {
-		e.hierPropChanged = true
-	}
+	e.hierClassChanged = touched(e.V.SubClassOf)
+	e.hierPropChanged = touched(e.V.SubPropertyOf)
 	if e.hierClassChanged || e.hierPropChanged {
-		e.buildHier()
+		e.buildHier() // the next read retakes the census
+	} else if dt := delta.Table(e.V.Type); dt != nil && !dt.Empty() {
+		e.hier.TypePairsAdded(e.Main.Table(e.V.Type), dt.Pairs())
 	}
 	recheck := e.hierClassChanged || e.hierPropChanged ||
 		touched(e.V.Type) || touched(e.V.Domain) || touched(e.V.Range) ||
@@ -605,25 +705,48 @@ func (e *Engine) maintainHier(delta *store.Store, changed []int) (*store.Store, 
 		return e.expandEncoding(delta, changed)
 	}
 	if e.hierClassChanged || touched(e.V.Type) {
-		changed = e.compactTypeTable(delta, changed)
+		// New type pairs can only shadow pairs of their own subjects; a
+		// changed class hierarchy can shadow any pair.
+		scope := delta.Table(e.V.Type)
+		if e.hierClassChanged {
+			scope = e.Main.Table(e.V.Type)
+		}
+		changed = e.compactTypeTable(subjectsOf(scope), delta, changed)
 	}
 	return delta, changed
 }
 
-// compactTypeTable drops stored rdf:type pairs the interval index
-// already serves: ⟨x, D⟩ is redundant when another stored pair ⟨x, C⟩
-// of the same subject has C strictly below D (inside a subsumption
-// cycle the smallest class id is kept, so mutually-subsuming classes
-// never shadow each other away). A redundant pair is visible through
-// the intervals either way, so dropping it from the main store AND
-// from the running delta reproduces exactly what the materialized
-// engine's merge does with a derivation that is already present:
-// no rule ever fires on it again. Rules that read the stored type
-// table directly select marker classes, which guard G1 keeps
-// subclass-free — a marker pair can therefore never be redundant.
-// Returns the changed set, with rdf:type removed when the delta's
-// type table compacts to nothing.
-func (e *Engine) compactTypeTable(delta *store.Store, changed []int) []int {
+// subjectsOf returns the distinct subjects of a normalized table in
+// ascending order (nil for a nil or empty table).
+func subjectsOf(t *store.Table) []uint64 {
+	if t == nil || t.Empty() {
+		return nil
+	}
+	var out []uint64
+	p := t.Pairs()
+	for i := 0; i < len(p); i += 2 {
+		if i == 0 || p[i] != p[i-2] {
+			out = append(out, p[i])
+		}
+	}
+	return out
+}
+
+// compactTypeTable drops the stored rdf:type pairs of the given subjects
+// (ascending) that the interval index already serves: ⟨x, D⟩ is
+// redundant when another stored pair ⟨x, C⟩ of the same subject has C
+// strictly below D (inside a subsumption cycle the smallest class id is
+// kept, so mutually-subsuming classes never shadow each other away). A
+// redundant pair is visible through the intervals either way, so
+// dropping it from the main store AND from the running delta reproduces
+// exactly what the materialized engine's merge does with a derivation
+// that is already present: no rule ever fires on it again. Rules that
+// read the stored type table directly select marker classes, which
+// guard G1 keeps subclass-free — a marker pair can therefore never be
+// redundant. Only the examined subjects' runs are read, and the drops
+// leave both tables sorted. Returns the changed set, with rdf:type
+// removed when the delta's type table compacts to nothing.
+func (e *Engine) compactTypeTable(subjects []uint64, delta *store.Store, changed []int) []int {
 	if e.hier == nil || e.hier.Classes.VisiblePairs() == 0 {
 		return changed
 	}
@@ -633,79 +756,51 @@ func (e *Engine) compactTypeTable(delta *store.Store, changed []int) []int {
 		return changed
 	}
 	pairs := t.Pairs()
-	// redundant reports whether the class at flat index k+1 is shadowed
-	// by a sibling class of the same subject run pairs[lo:hi].
+	// redundant reports whether the class at pair index k is shadowed by
+	// a sibling class of the same subject run [lo, hi).
 	redundant := func(lo, hi, k int) bool {
-		d := pairs[k+1]
-		for i := lo; i < hi; i += 2 {
-			if i == k {
-				continue
-			}
-			c := pairs[i+1]
-			if c != d && rel.Subsumes(c, d) && (!rel.Subsumes(d, c) || c < d) {
+		d := pairs[2*k+1]
+		for i := lo; i < hi; i++ {
+			c := pairs[2*i+1]
+			if i != k && c != d && rel.Subsumes(c, d) && (!rel.Subsumes(d, c) || c < d) {
 				return true
 			}
 		}
 		return false
 	}
-	var kept []uint64 // allocated lazily, on the first drop
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			j += 2
+	var drop []uint64
+	for _, s := range subjects {
+		lo, hi := t.SubjectRun(s)
+		if hi-lo < 2 { // a single-class subject has nothing to shadow
+			continue
 		}
-		if j-i > 2 { // a single-class subject has nothing to shadow
-			for k := i; k < j; k += 2 {
-				if redundant(i, j, k) {
-					if kept == nil {
-						kept = append(make([]uint64, 0, len(pairs)-2), pairs[:k]...)
-					}
-				} else if kept != nil {
-					kept = append(kept, pairs[k], pairs[k+1])
-				}
+		for k := lo; k < hi; k++ {
+			if redundant(lo, hi, k) {
+				drop = append(drop, s, pairs[2*k+1])
 			}
-		} else if kept != nil {
-			kept = append(kept, pairs[i:j]...)
 		}
-		i = j
 	}
-	if kept == nil {
+	if len(drop) == 0 {
 		return changed
 	}
-	t.SetPairs(kept)
-	t.Normalize()
-
+	e.hier.TypePairsRemoving(t, drop)
+	t.DeletePairs(drop)
 	if delta == nil {
-		return changed
-	}
-	dt := delta.Table(e.V.Type)
-	if dt == nil || dt.Empty() {
 		return changed
 	}
 	// The delta is a subset of the merged main store, so a delta pair
 	// survives iff it survived the main-table compaction.
-	dp := dt.Pairs()
-	dkept := make([]uint64, 0, len(dp))
-	for i := 0; i < len(dp); i += 2 {
-		if t.Contains(dp[i], dp[i+1]) {
-			dkept = append(dkept, dp[i], dp[i+1])
-		}
-	}
-	if len(dkept) == len(dp) {
+	dt := delta.Table(e.V.Type)
+	if dt == nil || dt.Empty() || dt.DeletePairs(drop) == 0 || !dt.Empty() {
 		return changed
 	}
-	dt.SetPairs(dkept)
-	dt.Normalize()
-	if len(dkept) == 0 {
-		out := make([]int, 0, len(changed))
-		for _, c := range changed {
-			if c != e.V.Type {
-				out = append(out, c)
-			}
+	out := make([]int, 0, len(changed))
+	for _, c := range changed {
+		if c != e.V.Type {
+			out = append(out, c)
 		}
-		changed = out
 	}
-	return changed
+	return out
 }
 
 // expandEncoding materializes every virtual triple into the main store
@@ -725,29 +820,23 @@ func (e *Engine) expandEncoding(delta *store.Store, changed []int) (*store.Store
 	e.hier = nil
 	e.hierBypassed = true
 	e.hierClassChanged, e.hierPropChanged = false, false
-	expDelta, expChanged := store.MergeRound(e.Main, exp, e.opts.Parallel)
-	expDelta.ForEachTable(func(pidx int, t *store.Table) bool {
-		if t.Empty() {
-			return true
-		}
+	expDelta, _ := store.MergeRound(e.Main, exp, e.opts.Parallel)
+	return delta, foldDelta(delta, changed, expDelta)
+}
+
+// foldDelta adds every pair of extra to the running delta (normalizing
+// the touched tables) and returns changed extended by extra's tables.
+func foldDelta(delta *store.Store, changed []int, extra *store.Store) []int {
+	extra.ForEachTable(func(pidx int, t *store.Table) bool {
 		dt := delta.Ensure(pidx)
 		dt.AppendPairs(t.RawPairs())
 		dt.Normalize()
+		if !slices.Contains(changed, pidx) {
+			changed = append(changed, pidx)
+		}
 		return true
 	})
-	for _, c := range expChanged {
-		found := false
-		for _, old := range changed {
-			if old == c {
-				found = true
-				break
-			}
-		}
-		if !found {
-			changed = append(changed, c)
-		}
-	}
-	return delta, changed
+	return changed
 }
 
 // applyRules fires the scheduled rules of the fragment against (main,
@@ -881,7 +970,7 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	e.Main = st
 	e.input = st.Size()
 	e.materialized = false
-	e.staged = nil
+	e.staged, e.refire = nil, nil
 	e.hier = nil
 	e.hierBypassed = false
 	e.hierClassChanged, e.hierPropChanged = false, false

@@ -287,6 +287,39 @@ func TestRetractThenReassert(t *testing.T) {
 	}
 }
 
+// TestRetractUndoesPromotion retracts the only triple that made <p1> a
+// property: ⟨x1 owl:inverseOf p1⟩. Before it, PRP-FP links p0 to p1 by
+// owl:sameAs and EQ-REP-P copies p0's table to p1; after it, a
+// rematerialization encodes p1 as a resource and copies nothing, so the
+// maintained closure must drop the copies too — and the store's version
+// sum must move, so readers see a new generation.
+func TestRetractUndoesPromotion(t *testing.T) {
+	for _, encoding := range []bool{false, true} {
+		opts := Options{Fragment: rules.RDFSPlusFull, HierarchyEncoding: encoding}
+		e := New(opts)
+		e.LoadTriples([]rdf.Triple{
+			{S: "<x0>", P: "<p0>", O: "<p0>"},
+			{S: "<x0>", P: "<p0>", O: "<p1>"},
+			{S: "<p0>", P: rdf.RDFType, O: rdf.OWLFunctionalProperty},
+		})
+		e.Materialize()
+		inverse := rdf.Triple{S: "<x1>", P: rdf.OWLInverseOf, O: "<p1>"}
+		e.LoadTriples([]rdf.Triple{inverse})
+		e.Materialize()
+		if !e.Contains(rdf.Triple{S: "<x0>", P: "<p1>", O: "<p0>"}) {
+			t.Fatalf("encoding=%v: EQ-REP-P did not copy <p0> to the promoted <p1>", encoding)
+		}
+		sum := e.Main.VersionSum()
+		if _, err := e.Retract([]rdf.Triple{inverse}); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstRemat(t, e, opts, fmt.Sprintf("encoding=%v", encoding))
+		if e.Main.VersionSum() == sum {
+			t.Errorf("encoding=%v: version sum unchanged by the rebuild", encoding)
+		}
+	}
+}
+
 // TestRetractPreconditions checks the two refusal paths.
 func TestRetractPreconditions(t *testing.T) {
 	e := New(Options{Fragment: rules.RDFSDefault})

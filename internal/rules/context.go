@@ -56,6 +56,7 @@ type Rule struct {
 	Apply func(ctx *Context)
 
 	reads, writes Footprint
+	anchors       []Anchor
 }
 
 // Context carries one iteration's state into a rule application.

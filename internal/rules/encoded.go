@@ -24,18 +24,46 @@ import (
 // derive nothing new); when the hierarchy itself changed — or on the
 // first pass — the whole main schema table is re-swept against the
 // fresh intervals.
+//
+// The down form keys on the super p, but its head ⟨sub, c⟩ is anchored
+// at the sub. So the subjects of delta subPropertyOf edges also pull the
+// schema pairs of their visible supers down to themselves. A merge round
+// that adds such edges re-sweeps everything anyway; the case matters for
+// a retraction's rederivation pass, whose delta is the stored
+// neighbourhood of the overdeleted triples' anchors.
 func encodedSchemaExpand(c *Context, schemaPidx int, rel *hierarchy.Relation, changed, up bool) {
-	var t *store.Table
+	out := c.Out.Ensure(schemaPidx)
 	if c.FirstPass() || changed {
-		t = c.mainTable(schemaPidx)
-	} else {
-		t = c.deltaTable(schemaPidx)
-	}
-	if t == nil {
+		if t := c.mainTable(schemaPidx); t != nil {
+			expandSchemaPairs(out, t.RawPairs(), rel, up)
+		}
 		return
 	}
-	out := c.Out.Ensure(schemaPidx)
-	pairs := t.RawPairs()
+	if t := c.deltaTable(schemaPidx); t != nil {
+		expandSchemaPairs(out, t.RawPairs(), rel, up)
+	}
+	edges, mt := c.deltaTable(c.V.SubPropertyOf), c.mainTable(schemaPidx)
+	if up || edges == nil || mt == nil {
+		return
+	}
+	ep, sp := edges.Pairs(), mt.Pairs()
+	for i := 0; i < len(ep); i += 2 {
+		sub := ep[i]
+		if i > 0 && ep[i-2] == sub {
+			continue
+		}
+		rel.Supers(sub, func(p uint64) bool {
+			lo, hi := mt.SubjectRun(p)
+			for k := lo; k < hi; k++ {
+				out.Append(sub, sp[2*k+1])
+			}
+			return true
+		})
+	}
+}
+
+// expandSchemaPairs emits the up or down expansion of each ⟨p, c⟩ pair.
+func expandSchemaPairs(out *store.Table, pairs []uint64, rel *hierarchy.Relation, up bool) {
 	for i := 0; i < len(pairs); i += 2 {
 		p, cls := pairs[i], pairs[i+1]
 		if up {

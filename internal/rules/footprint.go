@@ -140,10 +140,11 @@ func (b *footprintBuilder) build() Footprint {
 	return Footprint{Props: props, Wildcard: b.wildcard}
 }
 
-// AnnotateFootprints derives and attaches the read/write footprint of
-// every rule in rs from the fragment's declarative specs. It returns an
-// error when a rule's name resolves to no spec — the drift guard between
-// table5.go and spec.go.
+// AnnotateFootprints derives and attaches the read/write footprint and
+// the head anchors of every rule in rs from the fragment's declarative
+// specs. It returns an error when a rule's name resolves to no spec —
+// the drift guard between table5.go and spec.go — or a head has no
+// anchor.
 func AnnotateFootprints(rs []Rule, f Fragment, v *Vocab) error {
 	specs := Specs(f, v)
 	byName := make(map[string]*Spec, len(specs))
@@ -156,6 +157,7 @@ func AnnotateFootprints(rs []Rule, f Fragment, v *Vocab) error {
 			names = []string{rs[i].Name}
 		}
 		var reads, writes footprintBuilder
+		var anchors []Anchor
 		found := false
 		for _, name := range names {
 			sp, ok := byName[name]
@@ -168,6 +170,11 @@ func AnnotateFootprints(rs []Rule, f Fragment, v *Vocab) error {
 			}
 			for _, pat := range sp.Head {
 				writes.add(pat.P)
+				a, ok := headAnchor(sp, pat)
+				if !ok {
+					return fmt.Errorf("rules: rule %q head %+v has no anchor", rs[i].Name, pat)
+				}
+				anchors = append(anchors, a)
 			}
 		}
 		if !found {
@@ -176,6 +183,7 @@ func AnnotateFootprints(rs []Rule, f Fragment, v *Vocab) error {
 		}
 		rs[i].reads = reads.build()
 		rs[i].writes = writes.build()
+		rs[i].anchors = anchors
 	}
 	return nil
 }

@@ -1,13 +1,16 @@
 package store
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+
+	"inferray/internal/sorting"
 )
 
-// TestMergeRoundDeltaNotAliased is the regression test for the
-// empty-main fast path of mergeSorted: the round's delta table must own
+// TestMergeRoundDeltaNotAliased is the regression test for a merge into
+// an empty main table: the round's delta table must own
 // its storage, so that later in-place mutations of the main table
 // (appends into spare capacity, in-place normalization) cannot corrupt
 // delta pairs still being read by the scheduler.
@@ -104,4 +107,75 @@ func TestDropOSCacheConcurrentWithReaders(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestMergeAndDeleteMaintainOSCache drives random merge rounds and
+// deletions through one table whose ⟨o,s⟩ cache is built: after every
+// step the primary list must equal a map oracle in sorted order and the
+// cached view must equal one rebuilt from scratch. It covers the
+// in-place galloping merge (insertions at the front, the back and
+// between long runs) and the in-place deletion.
+func TestMergeAndDeleteMaintainOSCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	main := New(1)
+	oracle := map[[2]uint64]bool{}
+	check := func(step int) {
+		t.Helper()
+		tab := main.Table(0)
+		p := tab.Pairs()
+		if tab.Size() != len(oracle) || !sorting.IsSortedPairs(p) {
+			t.Fatalf("step %d: %d pairs (sorted %v), oracle %d", step, tab.Size(), sorting.IsSortedPairs(p), len(oracle))
+		}
+		for i := 0; i < len(p); i += 2 {
+			if !oracle[[2]uint64{p[i], p[i+1]}] {
+				t.Fatalf("step %d: stray pair (%d,%d)", step, p[i], p[i+1])
+			}
+		}
+		want := sorting.SortPairs(swapped(p), false)
+		if got := tab.OS(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: OS cache diverged from a rebuild", step)
+		}
+	}
+	for step := 0; step < 300; step++ {
+		span := uint64(1 + rng.Intn(400))
+		if step%3 == 2 && len(oracle) > 0 {
+			var del Table
+			for i := 0; i < 1+rng.Intn(40); i++ {
+				s, o := uint64(rng.Int63n(int64(span))), uint64(rng.Intn(50))
+				del.Append(s, o)
+				delete(oracle, [2]uint64{s, o})
+			}
+			del.Normalize()
+			main.Table(0).DeletePairs(del.Pairs())
+		} else {
+			inferred := New(1)
+			n := 1 + rng.Intn(60)
+			if step%10 == 0 {
+				n = 500
+			}
+			for i := 0; i < n; i++ {
+				s, o := uint64(rng.Int63n(int64(span))), uint64(rng.Intn(50))
+				inferred.Add(0, s, o)
+				oracle[[2]uint64{s, o}] = true
+			}
+			MergeRound(main, inferred, false)
+		}
+		check(step)
+	}
+}
+
+func TestGallop(t *testing.T) {
+	pairs := []uint64{1, 1, 1, 5, 2, 0, 4, 4, 4, 9, 7, 1}
+	for _, c := range []struct {
+		from int
+		s, o uint64
+		want int
+	}{
+		{0, 0, 0, 0}, {0, 1, 5, 2}, {0, 1, 6, 4}, {2, 4, 5, 8},
+		{0, 7, 1, 10}, {0, 7, 2, 12}, {12, 0, 0, 12}, {6, 1, 1, 6},
+	} {
+		if got := gallop(pairs, c.from, c.s, c.o); got != c.want {
+			t.Errorf("gallop(from %d, %d,%d) = %d, want %d", c.from, c.s, c.o, got, c.want)
+		}
+	}
 }

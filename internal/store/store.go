@@ -16,8 +16,9 @@ import (
 
 // Table is one property table: a flat ⟨s,o⟩ pair list. After Normalize
 // the primary list is sorted on ⟨s,o⟩ and duplicate-free; OS() serves the
-// ⟨o,s⟩-sorted view, built on demand and invalidated by any mutation
-// (the paper's clearable cache).
+// ⟨o,s⟩-sorted view, built on demand (the paper's clearable cache).
+// Merges and deletions of sorted pair lists keep a built view in step;
+// unsorted appends and rewrites drop it.
 type Table struct {
 	pairs   []uint64
 	os      []uint64 // cache: pairs re-ordered as (o,s), sorted
@@ -72,12 +73,13 @@ func (t *Table) SetPairs(pairs []uint64) {
 }
 
 // DeletePairs removes every ⟨s,o⟩ pair of del — a normalized flat pair
-// list (⟨s,o⟩-sorted, duplicate-free) — from the table in one linear
-// merge pass; pairs absent from the table are ignored. The table must be
-// normalized and stays normalized (removal preserves the sort), so no
-// re-sort is needed. The version bump invalidates the cached planner
-// statistics, and the ⟨o,s⟩ cache is dropped under osMu. Returns the
-// number of pairs removed. Like Normalize, it requires exclusive access.
+// list (⟨s,o⟩-sorted, duplicate-free) — from the table in place; pairs
+// absent from the table are ignored. Each deleted pair is located by a
+// galloping search and the runs between them move down by one memmove,
+// so the table stays normalized and no re-sort is needed. The version
+// bump invalidates the cached planner statistics, and a built ⟨o,s⟩
+// cache drops the same pairs under osMu. Returns the number of pairs
+// removed. Like Normalize, it requires exclusive access.
 func (t *Table) DeletePairs(del []uint64) int {
 	if t.dirty {
 		panic("store: DeletePairs on dirty table; call Normalize first")
@@ -85,27 +87,17 @@ func (t *Table) DeletePairs(del []uint64) int {
 	if len(del) == 0 || len(t.pairs) == 0 {
 		return 0
 	}
-	pairs := t.pairs
-	out := pairs[:0] // in-place compaction: write index never passes read index
-	di := 0
-	removed := 0
-	for i := 0; i < len(pairs); i += 2 {
-		s, o := pairs[i], pairs[i+1]
-		for di < len(del) && (del[di] < s || (del[di] == s && del[di+1] < o)) {
-			di += 2
-		}
-		if di < len(del) && del[di] == s && del[di+1] == o {
-			removed++
-			continue
-		}
-		out = append(out, s, o)
-	}
+	pairs, removed := deleteSorted(t.pairs, del)
 	if removed == 0 {
 		return 0
 	}
-	t.pairs = out
+	t.pairs = pairs
 	t.version++
-	t.invalidateOS()
+	t.osMu.Lock()
+	if t.osOK {
+		t.os, _ = deleteSorted(t.os, sorting.SortPairs(swapped(del), false))
+	}
+	t.osMu.Unlock()
 	return removed
 }
 
@@ -139,7 +131,8 @@ func (t *Table) Empty() bool { return len(t.pairs) == 0 }
 
 // OS returns the ⟨o,s⟩-sorted view: a flat pair list whose even indices
 // are objects and odd indices subjects, sorted on ⟨o,s⟩. It is computed
-// lazily and cached until the table changes (§4.2).
+// lazily and cached (§4.2); merges and deletions update the cached view
+// in place, so a caller must not keep it across a mutation.
 func (t *Table) OS() []uint64 {
 	if t.dirty {
 		panic("store: OS on dirty table; call Normalize first")

@@ -45,6 +45,10 @@ type obs struct {
 	querySeconds *metrics.Histogram
 	slowQueries  *metrics.Counter
 
+	// holdAdd / holdDelete are the write-lock hold histograms, one per
+	// write operation (applyLocked records into them).
+	holdAdd, holdDelete *metrics.Histogram
+
 	slowThreshold time.Duration
 	slowLog       *slog.Logger
 }
@@ -75,6 +79,10 @@ func newObs(c *config) *obs {
 	if o.slowLog == nil {
 		o.slowLog = slog.Default()
 	}
+	hold := reg.HistogramVec("inferray_write_lock_hold_seconds",
+		"Time the reasoner write lock is held for each applied write batch (live write with its WAL append, WAL replay, or replicated record), by operation.",
+		metrics.DurationBuckets(), "op")
+	o.holdAdd, o.holdDelete = hold.With("add"), hold.With("delete")
 	version, goVersion := Version()
 	reg.GaugeFunc("inferray_build_info",
 		"Build metadata; the value is always 1 and the information is in the labels.",
@@ -83,6 +91,14 @@ func newObs(c *config) *obs {
 		"fragment", c.engine.Fragment.String())
 	c.engine.Metrics = o.rm
 	return o
+}
+
+// lockHold returns the write-lock hold histogram of a write operation.
+func (o *obs) lockHold(op WALOp) *metrics.Histogram {
+	if op == WALDelete {
+		return o.holdDelete
+	}
+	return o.holdAdd
 }
 
 // WriteMetrics renders every metric family the reasoner owns —
@@ -114,6 +130,13 @@ type MetricsSnapshot struct {
 	Retractions        uint64
 	OverdeletedTriples uint64
 	RederivedTriples   uint64
+	// Write-lock hold: batches applied under the reasoner's write lock
+	// (live writes, WAL replay, replicated records) and their summed
+	// apply seconds, for adds and deletes.
+	WriteLockAdds          uint64
+	WriteLockAddSeconds    float64
+	WriteLockDeletes       uint64
+	WriteLockDeleteSeconds float64
 	// Durability totals; zero on in-memory reasoners.
 	WALAppends     uint64
 	WALAppendBytes uint64
@@ -155,6 +178,11 @@ func (r *Reasoner) Metrics() MetricsSnapshot {
 		QueryRows:          o.queryRows.Value(),
 		QuerySeconds:       o.querySeconds.Sum(),
 		SlowQueries:        o.slowQueries.Value(),
+
+		WriteLockAdds:          o.holdAdd.Count(),
+		WriteLockAddSeconds:    o.holdAdd.Sum(),
+		WriteLockDeletes:       o.holdDelete.Count(),
+		WriteLockDeleteSeconds: o.holdDelete.Sum(),
 	}
 	o.rm.RuleFired.Each(func(values []string, c *metrics.Counter) {
 		if s.RuleFired == nil {

@@ -84,6 +84,40 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 }
 
+// TestWriteLockHoldRecorded checks that every applied write batch —
+// here the initial materialization, an INSERT DATA and a DELETE DATA —
+// lands in the write-lock hold histogram of its operation, in the
+// snapshot and in the exposition alike.
+func TestWriteLockHoldRecorded(t *testing.T) {
+	r := obsTestReasoner(t)
+	if _, err := r.Update(`INSERT DATA { <carol> <worksFor> <DeptCS> }`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Update(`DELETE DATA { <alice> <worksFor> <DeptCS> }`); err != nil {
+		t.Fatal(err)
+	}
+	s := r.Metrics()
+	if s.WriteLockAdds != 2 || s.WriteLockDeletes != 1 {
+		t.Errorf("hold counts add=%d delete=%d, want 2 and 1", s.WriteLockAdds, s.WriteLockDeletes)
+	}
+	if s.WriteLockAddSeconds <= 0 || s.WriteLockDeleteSeconds <= 0 {
+		t.Errorf("hold seconds add=%g delete=%g, want both > 0", s.WriteLockAddSeconds, s.WriteLockDeleteSeconds)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE inferray_write_lock_hold_seconds histogram",
+		`inferray_write_lock_hold_seconds_count{op="add"} 2`,
+		`inferray_write_lock_hold_seconds_count{op="delete"} 1`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
 func TestWriteMetricsExposition(t *testing.T) {
 	r := obsTestReasoner(t)
 	var buf bytes.Buffer

@@ -2,6 +2,7 @@ package inferray
 
 import (
 	"fmt"
+	"time"
 
 	"inferray/internal/snapshot"
 	"inferray/internal/wal"
@@ -78,7 +79,7 @@ func (r *Reasoner) SnapshotFile() (path string, gen uint64, ok bool, err error) 
 }
 
 // ApplyReplicated applies one shipped WAL record to an in-memory
-// follower, running the identical code path the leader ran when it
+// follower, running the identical apply step the leader ran when it
 // logged the record — LoadTriples + incremental Materialize for an add,
 // Retract for a delete, one generation bump per record that changed the
 // closure — so a follower that has applied the same record sequence
@@ -90,22 +91,10 @@ func (r *Reasoner) ApplyReplicated(op WALOp, batch []Triple) error {
 	if r.dur != nil {
 		return fmt.Errorf("inferray: ApplyReplicated on a durable reasoner would fork its data directory from the replicated history")
 	}
-	switch op {
-	case WALAdd:
-		r.mu.Lock()
-		r.engine.LoadTriples(batch)
-		r.engine.Materialize()
-		r.bumpGenerationLocked()
-		r.mu.Unlock()
-		return nil
-	case WALDelete:
-		r.mu.Lock()
-		_, err := r.engine.Retract(batch)
-		r.bumpGenerationLocked()
-		r.mu.Unlock()
-		return err
-	}
-	return fmt.Errorf("inferray: unknown replication op kind %d", op)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, _, err := r.applyLocked(op, batch, time.Now())
+	return err
 }
 
 // RestoreImage replaces the reasoner's entire state with a snapshot

@@ -3,6 +3,7 @@ package inferray
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"inferray/internal/query"
 	"inferray/internal/rdf"
@@ -111,7 +112,7 @@ func (r *Reasoner) deleteBatch(batch []rdf.Triple) (reasoner.RetractStats, error
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.retractLocked(batch)
+	return r.retractLocked(batch, time.Now())
 }
 
 // deleteWhere matches the pattern block against the visible closure
@@ -124,23 +125,23 @@ func (r *Reasoner) deleteWhere(patterns [][3]string) (reasoner.RetractStats, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	held := time.Now()
 	batch, err := r.matchPatternsLocked(patterns)
 	if err != nil || len(batch) == 0 {
 		return reasoner.RetractStats{}, err
 	}
-	return r.retractLocked(batch)
+	return r.retractLocked(batch, held)
 }
 
 // retractLocked appends the delete record and retracts (r.mu held for
-// writing). A WAL write failure leaves the closure untouched.
-func (r *Reasoner) retractLocked(batch []rdf.Triple) (reasoner.RetractStats, error) {
+// writing since held). A WAL write failure leaves the closure untouched.
+func (r *Reasoner) retractLocked(batch []rdf.Triple, held time.Time) (reasoner.RetractStats, error) {
 	if r.dur != nil && len(batch) > 0 {
 		if err := r.dur.AppendDelete(batch); err != nil {
 			return reasoner.RetractStats{}, fmt.Errorf("inferray: write-ahead log: %w", err)
 		}
 	}
-	st, err := r.engine.Retract(batch)
-	r.bumpGenerationLocked()
+	_, st, err := r.applyLocked(WALDelete, batch, held)
 	return st, err
 }
 
